@@ -5,24 +5,27 @@
 //	ptfbench -exp table3                 # small-scale, full training
 //	ptfbench -exp table4 -scale full     # paper-sized datasets
 //	ptfbench -exp fig3 -quick            # shortened training (smoke run)
-//	ptfbench -exp scalability -json      # machine-readable timing sweep
-//	ptfbench -exp scalability -profile huge-1m   # 1M-user memory profile
+//	ptfbench -exp scalability -json      # machine-readable timing table
+//	ptfbench -exp scalability -profile huge-1m   # 1M-user memory table
 //	ptfbench -list                       # list experiment ids
 //	ptfbench -exp all                    # run everything
 //	ptfbench -connect http://host:8470 -users 0:500   # join a ptfserve run
 //
-// The scalability sweep reports, per worker count, round and eval timings
-// plus a batched-vs-scalar comparison (the same evaluation forced through
-// per-item scoring, against the BlockScorer matrix-kernel engine), a
-// select-vs-sort comparison (ranking forced through the legacy full-sort
-// top-K, against the fused streaming bounded-heap selection engine), an
-// eval+dispersal overlap measurement (sequential vs concurrent tail), and a
-// cross-round pipeline comparison (seq_round_secs vs pipe_round_secs: the
-// serialized round loop against the dependency-gated double-buffered
-// pipeline, plus net_round_secs vs net_pipe_round_secs for the networked
-// loopback run under both schedules). BENCH_scalability.json at the repo
-// root records the sweep per commit (`make bench` regenerates it; CI
-// uploads a fresh one as an artifact).
+// The scalability experiment is one table of variants over one config. The
+// first row is the production reference: the pipelined schedule and default
+// engines at GOMAXPROCS workers. The others change one thing: the worker
+// count (production at each swept count), a baseline knob (sequential,
+// disperse-scalar, eval-single-user, map-store, full-graph), or the
+// transport (net and net-sequential, a coordinator and two participants on
+// loopback HTTP). Every row reports its fastest of three runs paired with the
+// reference, per-phase timings, eval time, wire bytes and heap, and every
+// run's history must equal the reference's bit for bit. -profile huge-1m
+// switches to the memory configuration (production, map-store and
+// full-graph only). Engine-level pairs (ranking and dispersal engines, the
+// eval+dispersal overlap) are go test benchmarks in internal/eval and
+// internal/fed. BENCH_scalability.json at the repo root records the table
+// per commit (`make bench` regenerates it; CI uploads a fresh one as an
+// artifact).
 package main
 
 import (

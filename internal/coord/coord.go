@@ -685,7 +685,9 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 // readUpload parses an upload body into the outcome the engine absorbs.
 // Transport cuts (clean EOF without MsgUploadEnd, or a frame severed
-// mid-payload) classify as drop/truncation; anything else is an error.
+// mid-payload) classify as drop/truncation; anything else is an error,
+// including a prediction for another user or for an item outside the
+// catalogue, which the engine would otherwise index out of range.
 func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOutcome, error) {
 	mt, payload, err := comm.ReadFrame(body)
 	if err == io.EOF {
@@ -725,6 +727,12 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 			chunk, err := begin.Codec.Decode(payload)
 			if err != nil {
 				return fed.ClientOutcome{}, err
+			}
+			for _, p := range chunk {
+				if p.User != user || p.Item < 0 || p.Item >= c.split.NumItems {
+					return fed.ClientOutcome{}, fmt.Errorf("coord: upload for user %d carries a prediction for user %d item %d (catalogue has %d items)",
+						user, p.User, p.Item, c.split.NumItems)
+				}
 			}
 			preds = append(preds, chunk...)
 			predBytes += len(payload)

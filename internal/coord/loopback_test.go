@@ -307,7 +307,7 @@ func encodeUpload(round, user int, codec comm.Codec, preds []comm.Prediction, se
 // empty body → drop, missing end frame → truncated prefix, end frame →
 // complete, and protocol violations → errors.
 func TestReadUploadClassification(t *testing.T) {
-	c := &Coordinator{}
+	c := &Coordinator{split: &data.Split{NumItems: 60}}
 	codec := comm.CodecFor(false)
 	preds := []comm.Prediction{
 		{User: 7, Item: 3, Score: 0.5},
@@ -358,6 +358,93 @@ func TestReadUploadClassification(t *testing.T) {
 	}
 	if _, err = c.readUpload(bytes.NewReader(comm.AppendFrame(nil, comm.MsgAck, nil)), 1, 7); err == nil {
 		t.Fatal("a non-begin opening frame must be a protocol error")
+	}
+
+	// Predictions the engine cannot absorb are protocol errors, even in a
+	// truncated stream: items outside [0, NumItems) and rows for another user.
+	for name, bad := range map[string]comm.Prediction{
+		"item past the catalogue": {User: 7, Item: 1 << 20, Score: 0.5},
+		"item at NumItems":        {User: 7, Item: 60, Score: 0.5},
+		"negative item":           {User: 7, Item: -1, Score: 0.5},
+		"another user":            {User: 8, Item: 3, Score: 0.5},
+	} {
+		hostile := []comm.Prediction{preds[0], bad}
+		for _, end := range []bool{true, false} {
+			if _, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, codec, hostile, 2, end)), 1, 7); err == nil {
+				t.Fatalf("%s (end frame %v) must be a protocol error", name, end)
+			}
+		}
+	}
+}
+
+// TestOutOfRangeItemUploadOverHTTP sends one well-formed upload carrying item
+// 1<<20 for a cohort user while a real participant serves the other half of
+// the users: the coordinator must reject it with MsgError, keep serving, and
+// close the round with that slot dropped, and the honest participant must
+// finish the run.
+func TestOutOfRangeItemUploadOverHTTP(t *testing.T) {
+	cfg := testConfig(models.KindLightGCN, 1)
+	cfg.Rounds = 1
+	opts := testOptions()
+	opts.Deadline = 500 * time.Millisecond
+	sp := testSplit()
+
+	c, err := New(sp, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	half := sp.NumUsers / 2
+	honest, err := Join(srv.URL, 0, half, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile, err := Join(srv.URL, half, sp.NumUsers, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	honestErr := make(chan error, 1)
+	go func() { honestErr <- honest.Run(ctx) }()
+	done := make(chan struct{})
+	var h *fed.History
+	var runErr error
+	go func() {
+		defer close(done)
+		h, runErr = c.Run(ctx)
+	}()
+
+	// ClientFraction 1.0 puts every user in round 0's cohort.
+	user := half
+	body := encodeUpload(0, user, comm.CodecFor(cfg.QuantizeScores),
+		[]comm.Prediction{{User: user, Item: 1 << 20, Score: 0.9}}, 1, true)
+	resp, err := srv.Client().Post(
+		fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=%d", srv.URL, hostile.Token(), user),
+		"application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, payload, err := comm.ReadFrame(resp.Body)
+	resp.Body.Close()
+	if err != nil || mt != comm.MsgError {
+		t.Fatalf("out-of-range upload reply: %v %q err=%v, want MsgError", mt, payload, err)
+	}
+
+	<-done
+	if runErr != nil || h == nil || len(h.Rounds) != 1 {
+		t.Fatalf("run did not complete after the out-of-range upload: %+v, %v", h, runErr)
+	}
+	// The hostile session never uploads anything valid: its whole range,
+	// the rejected slot included, closes as dropped; the honest half trains.
+	if rs := h.Rounds[0]; rs.Participants != sp.NumUsers || rs.Dropped != sp.NumUsers-half {
+		t.Fatalf("round %+v: want %d participants with the %d hostile-range slots dropped",
+			rs, sp.NumUsers, sp.NumUsers-half)
+	}
+	if err := <-honestErr; err != nil {
+		t.Fatalf("honest participant: %v", err)
 	}
 }
 

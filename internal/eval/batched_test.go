@@ -10,7 +10,7 @@ import (
 
 // TestBatchedEngineInvariance is the tentpole pin: the multi-user batched
 // logit engine must produce bitwise-identical Results to the single-user
-// probability-domain engine and to the legacy sort path, for every model
+// probability-domain engine and to the full-sort oracle, for every model
 // kind and workers ∈ {1, 2, 8}. The batch and window knobs are shrunk so
 // even the tiny split exercises partial batches, multi-window selections,
 // and window boundaries that split candidate runs.
@@ -34,6 +34,9 @@ func TestBatchedEngineInvariance(t *testing.T) {
 		if ref.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)
 		}
+		if got := sortRank(e, m, 20); got != ref {
+			t.Fatalf("%s: sort oracle %+v != single-user %+v", kind, got, ref)
+		}
 
 		for _, workers := range []int{1, 2, 8} {
 			if got := e.Rank(m, 20, workers); got != ref {
@@ -44,11 +47,6 @@ func TestBatchedEngineInvariance(t *testing.T) {
 				t.Fatalf("%s workers=%d: single-user %+v != workers=1 single-user %+v", kind, workers, got, ref)
 			}
 			e.SingleUser = false
-			e.SortSelect = true
-			if got := e.Rank(m, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: sort %+v != single-user %+v", kind, workers, got, ref)
-			}
-			e.SortSelect = false
 		}
 	}
 }

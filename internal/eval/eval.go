@@ -74,21 +74,10 @@ func detectCaps(s models.Scorer) caps {
 	return c
 }
 
-// scoreItems scores through the strongest non-fused path the scorer supports
-// — batched block scoring, then buffer-reusing per-item, then plain
-// ScoreItems. buf is owned by the calling goroutine and carried across users.
+// scoreItems scores a scorer without block scoring (block scorers take the
+// fused path) — buffer-reusing per-item, then plain ScoreItems. buf is owned
+// by the calling goroutine and carried across users.
 func (c *caps) scoreItems(buf *[]float64, u int, items []int) []float64 {
-	if c.block != nil {
-		out := *buf
-		if cap(out) < len(items) {
-			out = make([]float64, len(items))
-		} else {
-			out = out[:len(items)]
-		}
-		c.block.ScoreBlockInto(out, u, items)
-		*buf = out
-		return out
-	}
 	if c.into != nil {
 		out := c.into.ScoreItemsInto(*buf, u, items)
 		*buf = out
@@ -126,21 +115,11 @@ type Evaluator struct {
 	cache *candset.Packed // per-user candidate lists, ascending; nil when streaming
 	ident []int           // identity item list 0..NumItems-1 for the batched windows
 
-	// SortSelect forces ranking through the legacy sort path — the full
-	// score vector materialised, then metrics.TopK's stable sort over an
-	// O(NumItems) index permutation — instead of the streaming bounded-heap
-	// selection. Results are bitwise-identical either way; the scalability
-	// experiment flips this to time select vs sort. Set before Rank, never
-	// concurrently with it.
-	SortSelect bool
-
 	// SingleUser forces ranking through the retained single-user engine —
 	// one probability-domain ScoreBlockTopK selection per user — instead of
 	// the multi-user batched logit engine. Results are bitwise-identical
-	// either way; the knob exists as the timing baseline for the scalability
-	// experiment's eval-users-scalar / eval-users-spdup columns and for
-	// invariance tests (the same pattern as fed.Config.DisperseScalar for
-	// dispersal). Set before Rank, never concurrently with it.
+	// either way; the knob backs fed.Config.EvalSingleUser. Set before Rank,
+	// never concurrently with it.
 	SingleUser bool
 }
 
@@ -285,9 +264,9 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	c := detectCaps(s)
 	// The batched multi-user engine needs the multi-user logit contract and
 	// the candidate cache (streaming evaluators rebuild lists per user, which
-	// only the single-user loop does); SortSelect and SingleUser force the
-	// respective baselines.
-	batched := c.multi != nil && e.cache != nil && !e.SortSelect && !e.SingleUser
+	// only the single-user loop does); SingleUser forces the single-user
+	// engine.
+	batched := c.multi != nil && e.cache != nil && !e.SingleUser
 	if workers > 1 {
 		if w, ok := s.(models.Warmer); ok {
 			w.WarmScoring()
@@ -342,17 +321,11 @@ func (e *Evaluator) evalUser(c *caps, sc *scratch, i, k int) (recall, ndcg float
 		cand = candset.AppendComplementSorted(sc.cand[:0], e.sp.NumItems, e.sp.Train[u])
 	}
 	var top []int
-	switch {
-	case e.SortSelect:
-		// Legacy path: full score vector, stable sort of an O(n) index
-		// permutation. Kept as the timing baseline and reference semantics.
-		scores := c.scoreItems(&sc.scores, u, cand)
-		top = metrics.TopK(scores, k)
-	case c.block != nil:
+	if c.block != nil {
 		// Fused path: scores stream chunk-wise into a bounded-heap selection;
 		// no full score vector exists.
 		top = models.ScoreBlockTopK(c.block, &sc.topk, u, cand, k)
-	default:
+	} else {
 		// Partial selection over a materialised score vector (scorers without
 		// block scoring, e.g. per-client adapters).
 		scores := c.scoreItems(&sc.scores, u, cand)

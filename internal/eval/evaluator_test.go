@@ -4,14 +4,43 @@ import (
 	"reflect"
 	"testing"
 
+	"ptffedrec/internal/candset"
 	"ptffedrec/internal/data"
+	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 )
 
+// sortRank is the full-sort reference ranking every engine is pinned
+// against: each evaluated user's candidates scored into one full vector
+// (block scoring when the scorer has it, else per item), ranked by
+// metrics.TopK's stable sort of an index permutation, and reduced in user
+// order exactly as Rank reduces.
+func sortRank(e *Evaluator, s models.Scorer, k int) Result {
+	var agg metrics.RankEval
+	relevant := make(map[int]bool)
+	for _, u := range e.users {
+		cand := candset.AppendComplementSorted([]int(nil), e.sp.NumItems, e.sp.Train[u])
+		var scores []float64
+		if bs, ok := s.(models.BlockScorer); ok {
+			scores = make([]float64, len(cand))
+			bs.ScoreBlockInto(scores, u, cand)
+		} else {
+			scores = s.ScoreItems(u, cand)
+		}
+		var ranked []int
+		for _, idx := range metrics.TopK(scores, k) {
+			ranked = append(ranked, cand[idx])
+		}
+		agg.AddUser(e.userMetrics(ranked, relevant, u, k))
+	}
+	r, n := agg.Mean()
+	return Result{Recall: r, NDCG: n, Users: agg.Users}
+}
+
 // TestEvaluatorSelectionInvariance pins the selection engine's contract:
 // Results are bitwise-identical across the fused chunk-streaming path, the
-// bounded-heap-over-full-vector path, and the legacy sort path, for every
+// bounded-heap-over-full-vector path, and the full-sort oracle, for every
 // model kind and workers ∈ {1, 2, 8}.
 func TestEvaluatorSelectionInvariance(t *testing.T) {
 	d := data.Generate(data.Tiny, 11)
@@ -19,20 +48,23 @@ func TestEvaluatorSelectionInvariance(t *testing.T) {
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF} {
 		m := trainedModel(t, kind, sp)
 
-		sortEval := NewEvaluator(sp)
-		sortEval.SortSelect = true
-		ref := sortEval.Rank(m, 20, 1)
+		ref := sortRank(NewEvaluator(sp), m, 20)
 		if ref.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)
 		}
+		// The oracle's per-item and block scoring must agree too.
+		if got := sortRank(NewEvaluator(sp), scalarOnly{m}, 20); got != ref {
+			t.Fatalf("%s: per-item sort %+v != block sort %+v", kind, got, ref)
+		}
 
 		for _, workers := range []int{1, 2, 8} {
+			if got := NewEvaluator(sp).Rank(m, 20, workers); got != ref {
+				t.Fatalf("%s workers=%d: batched select %+v != sort %+v", kind, workers, got, ref)
+			}
 			fused := NewEvaluator(sp)
+			fused.SingleUser = true
 			if got := fused.Rank(m, 20, workers); got != ref {
 				t.Fatalf("%s workers=%d: fused select %+v != sort %+v", kind, workers, got, ref)
-			}
-			if got := sortEval.Rank(m, 20, workers); got != ref {
-				t.Fatalf("%s workers=%d: sort select %+v != workers=1 sort %+v", kind, workers, got, ref)
 			}
 			// Hiding BlockScorer forces the heap-over-full-vector path.
 			if got := NewEvaluator(sp).Rank(scalarOnly{m}, 20, workers); got != ref {

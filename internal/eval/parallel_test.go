@@ -12,7 +12,7 @@ import (
 
 // trainedModel builds a deterministic scorer with non-trivial scores: an MF
 // model trained for one pass over the split's interactions.
-func trainedModel(t *testing.T, kind models.Kind, sp *data.Split) models.Recommender {
+func trainedModel(t testing.TB, kind models.Kind, sp *data.Split) models.Recommender {
 	t.Helper()
 	m, err := models.New(kind, models.Config{
 		NumUsers: sp.NumUsers, NumItems: sp.NumItems, Dim: 8, LR: 1e-2, Layers: 2, Seed: 7,

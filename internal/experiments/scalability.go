@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"time"
 
 	"ptffedrec/internal/comm"
@@ -18,180 +18,100 @@ import (
 	"ptffedrec/internal/models"
 )
 
-// ScalabilityRow records one worker count's timings on the large-scale
-// profile. Speedups are relative to the workers=1 row. The per-phase columns
-// break the round down so speedup is attributable: client training rides
-// Workers, server SGD rides TrainWorkers, the graph/CSR build rides both.
+// ScalabilityRow is one variant of the scalability table: a named edit of the
+// profile's one config, driven in process or over a loopback transport, and
+// timed against the production reference (the table's first row).
 type ScalabilityRow struct {
-	Workers      int     `json:"workers"`
-	RoundSecs    float64 `json:"round_secs"`     // mean wall-clock per global round
-	RoundsPerSec float64 `json:"rounds_per_sec"` // 1/RoundSecs
-	RoundSpeedup float64 `json:"round_speedup"`  // vs workers=1
-	EvalSecs     float64 `json:"eval_secs"`      // one full eval pass (batched engine; == eval_users_batched_secs)
-	EvalSpeedup  float64 `json:"eval_speedup"`   // vs workers=1
-	Recall       float64 `json:"recall"`         // must match across rows
-	NDCG         float64 `json:"ndcg"`           // must match across rows
+	Variant string `json:"variant"`
+	Driver  string `json:"driver"` // "inproc" or "loopback"
+	Workers int    `json:"workers"`
 
-	// Batched-vs-scalar comparison at this worker count: the same evaluation
-	// forced through the per-item scoring path (the pre-BlockScorer hot
-	// loop), and the speedup the matrix-kernel engine buys over it. The two
-	// runs must produce bitwise-identical metrics.
-	EvalScalarSecs     float64 `json:"eval_scalar_secs"`
-	BatchedEvalSpeedup float64 `json:"batched_eval_speedup"`
+	// RoundSecs is the fastest run's wall-clock per round. In-process runs
+	// time Trainer.RunRounds; loopback runs time Coordinator.Run, whose
+	// final evaluation is amortised into the figure. RefSpeedup is RoundSecs
+	// over the reference's: how many times faster the production path is
+	// than this variant (1 on the reference row).
+	RoundSecs  float64 `json:"round_secs"`
+	RefSpeedup float64 `json:"ref_speedup"`
 
-	// Select-vs-sort comparison at this worker count: the same evaluation
-	// with ranking forced through the legacy sort path (full score vector,
-	// stable sort of an O(NumItems) index permutation per user) against the
-	// fused streaming bounded-heap selection engine, and the speedup the
-	// engine buys. Metrics must again be bitwise-identical.
-	EvalSortSecs  float64 `json:"eval_sort_secs"`
-	SelectSpeedup float64 `json:"select_speedup"`
+	// EvalSecs is the fastest EvaluateServer pass after the rounds, on
+	// profiles that evaluate (in-process rows only); Recall/NDCG are its
+	// metrics, identical on every row.
+	EvalSecs float64 `json:"eval_secs,omitempty"`
+	Recall   float64 `json:"recall,omitempty"`
+	NDCG     float64 `json:"ndcg,omitempty"`
 
-	// Multi-user-vs-single-user eval engine comparison at this worker count,
-	// measured as paired alternating passes on the trained model (min of
-	// three per engine, GC before each, so one collection can't bias either
-	// side): the batched engine scores 16-user groups through multi-user
-	// logit GEMM calls with logit-domain selection; the single-user engine
-	// runs one fused probability-domain selection per user. The two runs
-	// must produce bitwise-identical metrics; the speedup is what
-	// user-batching buys.
-	EvalUsersBatchedSecs float64 `json:"eval_users_batched_secs"`
-	EvalUsersScalarSecs  float64 `json:"eval_users_scalar_secs"`
-	EvalUsersSpeedup     float64 `json:"eval_users_speedup"`
+	// Per-phase seconds per round of the fastest run (in-process rows).
+	ClientSecs      float64 `json:"client_secs,omitempty"`
+	AbsorbSecs      float64 `json:"absorb_secs,omitempty"`
+	GraphSecs       float64 `json:"graph_secs,omitempty"`
+	ServerTrainSecs float64 `json:"server_train_secs,omitempty"`
+	DisperseSecs    float64 `json:"disperse_secs,omitempty"`
 
-	// Per-phase mean seconds per round.
-	ClientSecs      float64 `json:"client_secs"`
-	AbsorbSecs      float64 `json:"absorb_secs"`
-	GraphSecs       float64 `json:"graph_secs"`
-	ServerTrainSecs float64 `json:"server_train_secs"`
-	DisperseSecs    float64 `json:"disperse_secs"`
+	// WireBytes is the frame bytes one loopback run moves, both directions.
+	WireBytes int64 `json:"wire_bytes,omitempty"`
 
-	// Batched-vs-scalar dispersal comparison at this worker count, measured
-	// by fed.Trainer.BenchDispersal: repeated dispersal-only sweeps over
-	// every client on the frozen trained model, once through the round-scoped
-	// multi-user batched engine (shared eligibility cache + multi-user GEMM
-	// scoring) and once through the per-client scalar engine. The engines'
-	// outputs must be identical; the speedup is what the batched engine buys.
-	// Complementarily, the same training re-run end-to-end under
-	// Config.DisperseScalar must reproduce the history bit for bit.
-	DisperseBatchedSecs float64 `json:"disperse_batched_secs"`
-	DisperseScalarSecs  float64 `json:"disperse_scalar_secs"`
-	DisperseSpeedup     float64 `json:"disperse_speedup"`
-
-	// Speedups vs workers=1 for the two server-side hot paths the gradient
-	// workspace engine and the parallel CSR build attack.
-	ServerTrainSpeedup float64 `json:"server_train_speedup"`
-	GraphSpeedup       float64 `json:"graph_speedup"`
-
-	// Incremental-vs-full graph engine comparison at this worker count: the
-	// same training re-run under Config.FullGraphRebuild (every round
-	// re-selects all stored users' edges and rebuilds the adjacency from
-	// triplets) against the default incremental engine (dirty users only,
-	// maintained rows/degrees/postings), as mean graph-phase seconds per
-	// round. The re-run's history must match the incremental run bit for bit
-	// (folded into Deterministic); the speedup is what dirty-delta
-	// maintenance buys. GraphEngineBytes is the incremental engine's retained
-	// footprint (rows, postings, degree vectors, staging scratch).
-	GraphIncrSecs       float64 `json:"graph_incr_secs"`
-	GraphFullSecs       float64 `json:"graph_full_secs"`
-	GraphRebuildSpeedup float64 `json:"graph_rebuild_speedup"`
-	GraphEngineBytes    int64   `json:"graph_engine_bytes"`
-
-	// Memory accounting for this row's trainer. PeakHeapBytes is the largest
-	// live heap observed at phase boundaries (post-GC samples, so it tracks
-	// retained state, not allocator slack). The store/cache columns are exact
-	// footprints from the components' own accounting: the server's flat
-	// upload store (slab + index), its bounded eligibility LRU, and the
-	// evaluator's packed candidate cache. BytesPerUser is the per-user
-	// server-side state — (upload store + eligibility cache) / users — the
-	// figure the flat-memory design holds flat as users grow.
+	// PeakHeapBytes is the largest heap-object footprint (live plus not yet
+	// swept) sampled every few milliseconds across this variant's runs. The
+	// footprints are the components' own accounting after the fastest
+	// in-process run: the upload store, the eligibility LRU and the
+	// incremental graph engine. BytesPerUser is (upload store + eligibility
+	// cache) / users, the per-user server state.
 	PeakHeapBytes    uint64  `json:"peak_heap_bytes"`
-	UploadStoreBytes int64   `json:"upload_store_bytes"`
-	EligCacheBytes   int64   `json:"elig_cache_bytes"`
-	CandCacheBytes   int64   `json:"cand_cache_bytes"`
-	BytesPerUser     float64 `json:"bytes_per_user"`
+	UploadStoreBytes int64   `json:"upload_store_bytes,omitempty"`
+	EligCacheBytes   int64   `json:"elig_cache_bytes,omitempty"`
+	GraphEngineBytes int64   `json:"graph_engine_bytes,omitempty"`
+	BytesPerUser     float64 `json:"bytes_per_user,omitempty"`
 }
 
-// ScalabilityResult is the scalability experiment's report: the parallel
-// round engine and evaluator timed at increasing worker counts on the
-// large-scale profile, with a determinism cross-check.
+// ScalabilityResult is the scalability experiment's report: every variant of
+// one config, each paired with the production reference on the same host.
 type ScalabilityResult struct {
-	Profile       string           `json:"profile"`
-	Users         int              `json:"users"`
-	Items         int              `json:"items"`
-	Rounds        int              `json:"rounds"`
-	GOMAXPROCS    int              `json:"gomaxprocs"`
-	Rows          []ScalabilityRow `json:"rows"`
-	Deterministic bool             `json:"deterministic"` // identical history+metrics across worker counts and scoring paths
-
-	// Overlap compares the round's dispersal+eval tail executed sequentially
-	// (RunRound then EvaluateServer) against the concurrent RunRoundEval
-	// path, at the sweep's max worker count, summed over the run's rounds.
-	OverlapSequentialSecs float64 `json:"overlap_sequential_secs"`
-	OverlapConcurrentSecs float64 `json:"overlap_concurrent_secs"`
-	OverlapSpeedup        float64 `json:"overlap_speedup"`
-
-	// Cross-round pipelining: the same training at the sweep's max worker
-	// count under partial participation (fraction 0.3, so round r+1 has
-	// dependency-free clients to overlap), once through the serialized
-	// RunRound loop and once through the dependency-gated double-buffered
-	// pipeline, as paired alternating full runs (min of three per schedule,
-	// a forced GC before each) so allocator drift lands on neither side.
-	// The two histories must match bit for bit (folded into Deterministic);
-	// the speedup is what overlapping round r+1's free client wave with
-	// round r's server phases buys. On a single-core host the pipeline's
-	// overlap gate trains the free wave inline, so parity (~1x) is the
-	// honest expected result there.
-	SeqRoundSecs    float64 `json:"seq_round_secs"`
-	PipeRoundSecs   float64 `json:"pipe_round_secs"`
-	PipelineSpeedup float64 `json:"pipeline_speedup"`
-
-	// Networked round engine over a loopback transport: the same training
-	// driven through coord.Coordinator plus two coord.Participants speaking
-	// the wire protocol over real HTTP on a loopback listener, at the sweep's
-	// max worker count. The round history must match the in-process rows bit
-	// for bit (folded into Deterministic). NetRoundSecs is mean wall-clock
-	// per networked round on the serialized schedule (SequentialRounds: the
-	// announce/wait/close/fetch baseline; the run's final evaluation pass,
-	// ~eval_secs, is amortised into it); NetPipeRoundSecs is the same run
-	// under the pipelined coordinator — next round's cohort announced during
-	// the straggler window, dispersals and round-ends pushed into the poll
-	// log. NetWireBytes is total frame bytes crossing the transport both
-	// ways on the sequential run. Gated to small profiles — the loopback
-	// run issues one HTTP request per upload.
-	NetRoundSecs     float64 `json:"net_round_secs,omitempty"`
-	NetPipeRoundSecs float64 `json:"net_pipe_round_secs,omitempty"`
-	NetWireBytes     int64   `json:"net_wire_bytes,omitempty"`
-
-	// MemoryProfile marks the huge-profile mode (NumUsers ≥
-	// memoryProfileUsers): a streamed split, lazy clients, sampled
-	// participation and no evaluation — a memory-scalability measurement
-	// with a single row, rather than a worker sweep. MapUploadStoreBytes is
-	// the retained map baseline's store footprint after the same training;
-	// the flat-vs-map round histories are cross-checked into Deterministic.
-	MemoryProfile       bool  `json:"memory_profile,omitempty"`
-	MapUploadStoreBytes int64 `json:"map_upload_store_bytes,omitempty"`
+	Profile        string           `json:"profile"`
+	Users          int              `json:"users"`
+	Items          int              `json:"items"`
+	Rounds         int              `json:"rounds"`
+	ClientFraction float64          `json:"client_fraction"`
+	GOMAXPROCS     int              `json:"gomaxprocs"`
+	CandCacheBytes int64            `json:"cand_cache_bytes,omitempty"` // the shared evaluator's candidate cache
+	Rows           []ScalabilityRow `json:"rows"`
+	Deterministic  bool             `json:"deterministic"` // every run's history and eval equal the reference's
 }
 
 // memoryProfileUsers is the user count at which RunScalability switches to
-// the memory-profile mode: past it, materialising the dataset, eager
+// the memory configuration: past it, materialising the dataset, eager
 // clients, or a full candidate cache (users × items) would dominate — or
 // exceed — the very footprint being measured.
 const memoryProfileUsers = 200_000
 
-// heapSampler tracks the largest live heap seen at sampling points. Samples
-// land right after forced GCs or phase boundaries, so the peak reflects
-// retained state rather than transient allocator slack.
-type heapSampler struct {
-	peak uint64
-	ms   runtime.MemStats
+// netLoopbackMaxUsers bounds the profiles the loopback variants run on: past
+// it the O(users) HTTP requests per round would dominate the table's
+// wall-clock.
+const netLoopbackMaxUsers = 10_000
+
+// scalabilityGroups is how many times the runner cycles the table. Each
+// cycle runs the reference and then every variant once, after a forced GC,
+// and every row reports its fastest cycle: interference only ever adds time.
+const scalabilityGroups = 3
+
+// runOut is what one driver run reports back to the runner.
+type runOut struct {
+	secs     float64 // timed wall-clock of the rounds
+	rounds   []fed.RoundStats
+	final    eval.Result
+	evalSecs float64
+	phases   fed.PhaseSeconds
+	wire     int64
+
+	upload, elig, graph int64
 }
 
-func (h *heapSampler) sample() {
-	runtime.ReadMemStats(&h.ms)
-	if h.ms.HeapAlloc > h.peak {
-		h.peak = h.ms.HeapAlloc
-	}
+// variant is one row of the table: a name, an edit of the profile's config
+// (nil keeps it) and the driver that runs it.
+type variant struct {
+	name   string
+	driver string
+	edit   func(*fed.Config)
 }
 
 // scalabilityWorkerCounts returns the worker counts to sweep: doubling steps
@@ -212,11 +132,24 @@ func scalabilityWorkerCounts() []int {
 	return counts
 }
 
-// RunScalability times the parallel round engine and the parallel evaluator
-// at increasing worker counts on the large-scale profile (50k users at full
-// scale). Every sweep point re-runs the same seeded training, so the rows
-// double as a determinism check: Recall/NDCG and the per-round history must
-// be identical for every worker count.
+// withWorkers sets every worker pool of a config to w.
+func withWorkers(w int) func(*fed.Config) {
+	return func(c *fed.Config) { c.Workers, c.EvalWorkers, c.TrainWorkers = w, w, w }
+}
+
+// RunScalability times the round engine as a table of variants over one
+// config per profile. The first row is the production reference — the
+// default schedule and engines at GOMAXPROCS workers — and every other row
+// edits one thing: the worker count, or one baseline knob that swaps in a
+// retained reference engine, or the transport. Every run's round history
+// (and evaluation) must equal the reference's bit for bit.
+//
+// The small profiles use a LightGCN server and MF clients at client fraction
+// 0.3 with no periodic evaluation, so the pipeline has dependency-free
+// clients to overlap and every row times the same work. Profiles from
+// memoryProfileUsers users up run the memory configuration instead: a
+// streamed split, lazy clients, about 5000 participants a round and no
+// evaluator, with the map store and the full graph rebuild as its baselines.
 func RunScalability(o Options) (*ScalabilityResult, error) {
 	p := data.LargeScaleSmall
 	if o.Scale == ScaleFull {
@@ -225,17 +158,14 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 	if len(o.ProfilesOverride) > 0 {
 		p = o.ProfilesOverride[0]
 	}
-	if p.NumUsers >= memoryProfileUsers {
-		return runScalabilityMemory(o, p)
-	}
-	sp := o.split(p)
+	memory := p.NumUsers >= memoryProfileUsers
 
 	// MF clients keep per-client state tiny (lazy embedding rows only), which
 	// is what makes tens of thousands of in-process clients feasible. The
-	// server runs LightGCN so the sweep exercises every parallel server path:
-	// the per-round graph/CSR rebuild, the sharded SpMM propagation, and the
-	// gradient workspace engine. A large server batch keeps the propagation
-	// count per round bounded (one forward cache per optimizer step).
+	// LightGCN server exercises every parallel server path: the graph engine,
+	// the sharded SpMM propagation and the gradient workspace engine. A large
+	// server batch bounds the propagation count per round.
+	maxProcs := runtime.GOMAXPROCS(0)
 	cfg := fed.DefaultConfig(models.KindLightGCN)
 	cfg.ClientModel = models.KindMF
 	cfg.Seed = o.Seed
@@ -245,422 +175,189 @@ func RunScalability(o Options) (*ScalabilityResult, error) {
 	cfg.ServerEpochs = 1
 	cfg.ClientBatch = 32
 	cfg.ServerBatch = 8192
-	if o.Quick {
+	cfg.EvalEvery = 0
+	withWorkers(maxProcs)(&cfg)
+
+	var sp *data.Split
+	var evaluator *eval.Evaluator
+	variants := []variant{{name: "production", driver: "inproc"}}
+	if memory {
+		o.logf("scalability: memory profile %s (%d users, streamed split)\n", p.Name, p.NumUsers)
+		sp = data.StreamSplit(p, o.Seed, 0.2)
 		cfg.Rounds = 2
-	}
-	if o.Scale == ScaleFull {
-		// 50k clients per round would dominate the sweep; a 10% sample per
-		// round keeps full-scale sweeps tractable while every client still
-		// exists (the evaluator always covers all 50k users).
-		cfg.ClientFraction = 0.1
+		if o.Rounds > 0 {
+			cfg.Rounds = o.Rounds
+		}
+		cfg.LazyClients = true
+		cfg.ClientFraction = min(1, 5000/float64(p.NumUsers))
+		variants = append(variants,
+			variant{"map-store", "inproc", func(c *fed.Config) { c.MapUploadStore = true }},
+			variant{"full-graph", "inproc", func(c *fed.Config) { c.FullGraphRebuild = true }})
+	} else {
+		sp = o.split(p)
+		if o.Quick {
+			cfg.Rounds = 2
+		}
+		cfg.ClientFraction = 0.3
+		if o.Scale == ScaleFull {
+			cfg.ClientFraction = 0.1 // keeps the 50k-user rounds near 5000 clients
+		}
+		// One candidate cache serves every run: it depends only on the split.
+		evaluator = eval.NewEvaluator(sp)
+		for _, w := range scalabilityWorkerCounts() {
+			if w != maxProcs {
+				variants = append(variants, variant{"production", "inproc", withWorkers(w)})
+			}
+		}
+		variants = append(variants,
+			variant{"sequential", "inproc", func(c *fed.Config) { c.SequentialRounds = true }},
+			variant{"disperse-scalar", "inproc", func(c *fed.Config) { c.DisperseScalar = true }},
+			variant{"eval-single-user", "inproc", func(c *fed.Config) { c.EvalSingleUser = true }},
+			variant{"map-store", "inproc", func(c *fed.Config) { c.MapUploadStore = true }},
+			variant{"full-graph", "inproc", func(c *fed.Config) { c.FullGraphRebuild = true }})
+		if sp.NumUsers <= netLoopbackMaxUsers {
+			variants = append(variants,
+				variant{"net", "loopback", nil},
+				variant{"net-sequential", "loopback", func(c *fed.Config) { c.SequentialRounds = true }})
+		}
 	}
 
+	drive := func(v variant, vcfg fed.Config) (runOut, error) {
+		if v.driver == "loopback" {
+			return runLoopback(sp, vcfg, p, o.Seed, evaluator)
+		}
+		return runInproc(sp, vcfg, evaluator)
+	}
+	rows, det, err := runTable(o, variants, cfg, sp.NumUsers, drive)
+	if err != nil {
+		return nil, fmt.Errorf("scalability: %w", err)
+	}
 	res := &ScalabilityResult{
-		Profile:       p.Name,
-		Users:         sp.NumUsers,
-		Items:         sp.NumItems,
-		Rounds:        cfg.Rounds,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Deterministic: true,
+		Profile:        p.Name,
+		Users:          sp.NumUsers,
+		Items:          sp.NumItems,
+		Rounds:         cfg.Rounds,
+		ClientFraction: cfg.ClientFraction,
+		GOMAXPROCS:     maxProcs,
+		Rows:           rows,
+		Deterministic:  det,
 	}
-
-	// One candidate cache serves every trainer and every timed pass: it
-	// depends only on the split, constant across the sweep, so no timed
-	// region ever pays the one-off cache construction and no trainer holds a
-	// duplicate copy.
-	evaluator := eval.NewEvaluator(sp)
-
-	// Untimed warmup: one round + eval on a throwaway trainer, so the timed
-	// sweep doesn't charge the first row for heap growth and page-cache
-	// warmup (visible as a large workers=1 outlier otherwise).
-	{
-		wcfg := cfg
-		wcfg.Rounds = 1
-		warm, err := fed.NewTrainer(sp, wcfg)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: %w", err)
-		}
-		warm.ShareEvaluator(evaluator)
-		warm.RunRound(0)
-		warm.EvaluateServer()
-	}
-
-	var refRounds []fed.RoundStats
-	var refEval eval.Result
-	for _, workers := range scalabilityWorkerCounts() {
-		o.logf("scalability: workers=%d\n", workers)
-		wcfg := cfg
-		wcfg.Workers = workers
-		wcfg.EvalWorkers = workers
-		wcfg.TrainWorkers = workers
-		tr, err := fed.NewTrainer(sp, wcfg)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: %w", err)
-		}
-		// Time the round engine and the evaluator separately so the report
-		// attributes speedup to the right path. A forced GC before each timed
-		// segment keeps one segment's garbage from being collected on a later
-		// segment's clock — the paired engine comparisons below depend on it.
-		runtime.GC()
-		var hs heapSampler
-		rounds := make([]fed.RoundStats, 0, wcfg.Rounds)
-		start := time.Now()
-		for round := 0; round < wcfg.Rounds; round++ {
-			rounds = append(rounds, tr.RunRound(round))
-		}
-		trainSecs := time.Since(start).Seconds()
-		hs.sample()
-		phases := tr.PhaseSeconds()
-
-		// The eval engines head to head on the trained state: the multi-user
-		// batched logit engine against the retained single-user engine, as
-		// paired alternating passes — min of three per engine, a forced GC
-		// before each pass — so allocator noise lands on neither side
-		// systematically. Outputs must be bitwise-identical. The batched min
-		// doubles as the row's primary eval timing: a single unpaired pass
-		// drifts with the process's allocator state enough to fake a
-		// worker-scaling regression on single-core hosts.
-		var ev eval.Result
-		evalUsersBatchedSecs, evalUsersScalarSecs := math.Inf(1), math.Inf(1)
-		for g := 0; g < 3; g++ {
-			runtime.GC()
-			start = time.Now()
-			evBatched := evaluator.Rank(tr.Server().Model(), wcfg.EvalK, workers)
-			if t := time.Since(start).Seconds(); t < evalUsersBatchedSecs {
-				evalUsersBatchedSecs = t
-			}
-			runtime.GC()
-			evaluator.SingleUser = true
-			start = time.Now()
-			evSingle := evaluator.Rank(tr.Server().Model(), wcfg.EvalK, workers)
-			evaluator.SingleUser = false
-			if t := time.Since(start).Seconds(); t < evalUsersScalarSecs {
-				evalUsersScalarSecs = t
-			}
-			if g == 0 {
-				ev = evBatched
-			}
-			if evBatched != ev || evSingle != ev {
-				res.Deterministic = false
-			}
-		}
-		evalSecs := evalUsersBatchedSecs
-
-		// The same evaluation through the per-item scoring path: the gap to
-		// evalSecs is what the batched BlockScorer engine buys.
-		start = time.Now()
-		evScalar := evaluator.Rank(scalarScorer{tr.Server().Model()}, wcfg.EvalK, workers)
-		evalScalarSecs := time.Since(start).Seconds()
-		if evScalar != ev {
-			res.Deterministic = false
-		}
-
-		// And with ranking forced through the legacy full-sort selection: the
-		// gap to evalSecs is what the fused top-K selection engine buys.
-		evaluator.SortSelect = true
-		start = time.Now()
-		evSort := evaluator.Rank(tr.Server().Model(), wcfg.EvalK, workers)
-		evalSortSecs := time.Since(start).Seconds()
-		evaluator.SortSelect = false
-		if evSort != ev {
-			res.Deterministic = false
-		}
-
-		// The dispersal engines head to head on the trained state: repeated
-		// dispersal-only sweeps keep the paired comparison off the round
-		// timers' noise floor, and the engines' outputs must be identical.
-		disperseBatchedSecs, disperseScalarSecs, disperseIdentical := tr.BenchDispersal(5)
-		if !disperseIdentical {
-			res.Deterministic = false
-		}
-
-		// The graph engines head to head, end to end: the same training re-run
-		// under Config.FullGraphRebuild must reproduce the round history bit
-		// for bit, and its graph phase is the full-rebuild baseline the
-		// graph-spdup column measures the incremental engine against. At this
-		// sweep's dense per-round participation the incremental engine
-		// restages most of the store, so near-parity is the expected sweep
-		// result; the partial-participation memory profile is where the
-		// dirty-delta path pays off.
-		fcfg := wcfg
-		fcfg.FullGraphRebuild = true
-		ftr, err := fed.NewTrainer(sp, fcfg)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: %w", err)
-		}
-		fullRounds := make([]fed.RoundStats, 0, fcfg.Rounds)
-		for round := 0; round < fcfg.Rounds; round++ {
-			fullRounds = append(fullRounds, ftr.RunRound(round))
-		}
-		if !roundsEqual(rounds, fullRounds) {
-			res.Deterministic = false
-		}
-		graphFullSecs := ftr.PhaseSeconds().GraphBuild
-
-		// And end-to-end, once per sweep (worker-count invariance is already
-		// pinned by the refRounds comparison below, so re-training per row
-		// would only double the sweep's wall-clock): the same training forced
-		// through the per-client scalar dispersal engine must reproduce the
-		// history bit for bit.
-		if len(res.Rows) == 0 {
-			scfg := wcfg
-			scfg.DisperseScalar = true
-			scfg.EvalSingleUser = true
-			// The baseline trainer also runs the retained map upload store and
-			// the full graph rebuild, so the committed bench doubles as an
-			// end-to-end pin of every baseline knob at once.
-			scfg.MapUploadStore = true
-			scfg.FullGraphRebuild = true
-			str, err := fed.NewTrainer(sp, scfg)
-			if err != nil {
-				return nil, fmt.Errorf("scalability: %w", err)
-			}
-			scalarRounds := make([]fed.RoundStats, 0, scfg.Rounds)
-			for round := 0; round < scfg.Rounds; round++ {
-				scalarRounds = append(scalarRounds, str.RunRound(round))
-			}
-			if !roundsEqual(rounds, scalarRounds) {
-				res.Deterministic = false
-			}
-			// The trained models are bit-identical, so the scalar trainer's
-			// own evaluation — running single-user via the Config.EvalSingleUser
-			// knob — must reproduce the batched metrics exactly.
-			if se := str.EvaluateServer(); se != ev {
-				res.Deterministic = false
-			}
-		}
-
-		perRound := 1 / float64(cfg.Rounds)
-		row := ScalabilityRow{
-			Workers:              workers,
-			RoundSecs:            trainSecs * perRound,
-			EvalSecs:             evalSecs,
-			EvalScalarSecs:       evalScalarSecs,
-			EvalSortSecs:         evalSortSecs,
-			Recall:               ev.Recall,
-			NDCG:                 ev.NDCG,
-			ClientSecs:           phases.ClientTrain * perRound,
-			AbsorbSecs:           phases.Absorb * perRound,
-			GraphSecs:            phases.GraphBuild * perRound,
-			ServerTrainSecs:      phases.ServerTrain * perRound,
-			DisperseSecs:         phases.Disperse * perRound,
-			DisperseBatchedSecs:  disperseBatchedSecs,
-			DisperseScalarSecs:   disperseScalarSecs,
-			EvalUsersBatchedSecs: evalUsersBatchedSecs,
-			EvalUsersScalarSecs:  evalUsersScalarSecs,
-			GraphIncrSecs:        phases.GraphBuild * perRound,
-			GraphFullSecs:        graphFullSecs * perRound,
-			GraphEngineBytes:     tr.Server().GraphEngineBytes(),
-		}
-		if row.GraphIncrSecs > 0 {
-			row.GraphRebuildSpeedup = row.GraphFullSecs / row.GraphIncrSecs
-		}
-		if row.RoundSecs > 0 {
-			row.RoundsPerSec = 1 / row.RoundSecs
-		}
-		if row.EvalSecs > 0 {
-			row.BatchedEvalSpeedup = row.EvalScalarSecs / row.EvalSecs
-			row.SelectSpeedup = row.EvalSortSecs / row.EvalSecs
-		}
-		if row.DisperseBatchedSecs > 0 {
-			row.DisperseSpeedup = row.DisperseScalarSecs / row.DisperseBatchedSecs
-		}
-		if row.EvalUsersBatchedSecs > 0 {
-			row.EvalUsersSpeedup = row.EvalUsersScalarSecs / row.EvalUsersBatchedSecs
-		}
-		hs.sample()
-		row.PeakHeapBytes = hs.peak
-		row.UploadStoreBytes = tr.Server().UploadStoreBytes()
-		row.EligCacheBytes = tr.Server().EligCacheBytes()
-		row.CandCacheBytes = evaluator.CacheBytes()
-		if sp.NumUsers > 0 {
-			row.BytesPerUser = float64(row.UploadStoreBytes+row.EligCacheBytes) / float64(sp.NumUsers)
-		}
-		if len(res.Rows) == 0 {
-			refRounds, refEval = rounds, ev
-			row.RoundSpeedup, row.EvalSpeedup = 1, 1
-			row.ServerTrainSpeedup, row.GraphSpeedup = 1, 1
-		} else {
-			base := res.Rows[0]
-			if row.RoundSecs > 0 {
-				row.RoundSpeedup = base.RoundSecs / row.RoundSecs
-			}
-			if row.EvalSecs > 0 {
-				row.EvalSpeedup = base.EvalSecs / row.EvalSecs
-			}
-			if row.ServerTrainSecs > 0 {
-				row.ServerTrainSpeedup = base.ServerTrainSecs / row.ServerTrainSecs
-			}
-			if row.GraphSecs > 0 {
-				row.GraphSpeedup = base.GraphSecs / row.GraphSecs
-			}
-			if ev != refEval || !roundsEqual(refRounds, rounds) {
-				res.Deterministic = false
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-
-	// Eval+dispersal overlap: run the same training twice at the sweep's max
-	// worker count — once dispersing then evaluating sequentially, once with
-	// RunRoundEval overlapping the two — and compare the tails. The traces
-	// must stay identical; only wall-clock may differ.
-	{
-		counts := scalabilityWorkerCounts()
-		ocfg := cfg
-		ocfg.Workers = counts[len(counts)-1]
-		ocfg.EvalWorkers = ocfg.Workers
-		ocfg.TrainWorkers = ocfg.Workers
-		seqTr, err := fed.NewTrainer(sp, ocfg)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: %w", err)
-		}
-		conTr, err := fed.NewTrainer(sp, ocfg)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: %w", err)
-		}
-		// Both trainers reuse the sweep's candidate cache, so neither timed
-		// tail pays a lazy cache build and no duplicate copy is held.
-		seqTr.ShareEvaluator(evaluator)
-		conTr.ShareEvaluator(evaluator)
-		var seqEvalSecs float64
-		for round := 0; round < ocfg.Rounds; round++ {
-			seqStats := seqTr.RunRound(round)
-			start := time.Now()
-			seqEval := seqTr.EvaluateServer()
-			seqEvalSecs += time.Since(start).Seconds()
-			conStats, conEval := conTr.RunRoundEval(round)
-			if seqEval != conEval {
-				res.Deterministic = false
-			}
-			seqStats.Recall, seqStats.NDCG, seqStats.Evaluated = seqEval.Recall, seqEval.NDCG, true
-			if seqStats != conStats {
-				res.Deterministic = false
-			}
-		}
-		res.OverlapSequentialSecs = seqTr.PhaseSeconds().Disperse + seqEvalSecs
-		res.OverlapConcurrentSecs = conTr.PhaseSeconds().DisperseEvalWall
-		if res.OverlapConcurrentSecs > 0 {
-			res.OverlapSpeedup = res.OverlapSequentialSecs / res.OverlapConcurrentSecs
-		}
-	}
-
-	// Cross-round pipelining head to head: the serialized RunRound loop
-	// against the dependency-gated double-buffered pipeline, at the sweep's
-	// max worker count under partial participation (a full-participation
-	// round gates every client of round r+1 on round r's dispersals, leaving
-	// the pipeline nothing to overlap). Paired alternating full runs, min of
-	// three per schedule, a forced GC before each timed run; the histories
-	// must match bit for bit.
-	{
-		counts := scalabilityWorkerCounts()
-		pcfg := cfg
-		pcfg.Workers = counts[len(counts)-1]
-		pcfg.EvalWorkers = pcfg.Workers
-		pcfg.TrainWorkers = pcfg.Workers
-		pcfg.ClientFraction = 0.3
-		pcfg.EvalEvery = 0
-		o.logf("scalability: pipeline comparison (workers=%d, fraction=%.2f)\n", pcfg.Workers, pcfg.ClientFraction)
-		seqSecs, pipeSecs := math.Inf(1), math.Inf(1)
-		var seqRounds []fed.RoundStats
-		for g := 0; g < 3; g++ {
-			str, err := fed.NewTrainer(sp, pcfg)
-			if err != nil {
-				return nil, fmt.Errorf("scalability: %w", err)
-			}
-			runtime.GC()
-			start := time.Now()
-			rounds := make([]fed.RoundStats, 0, pcfg.Rounds)
-			for round := 0; round < pcfg.Rounds; round++ {
-				rounds = append(rounds, str.RunRound(round))
-			}
-			if t := time.Since(start).Seconds(); t < seqSecs {
-				seqSecs = t
-			}
-			ptr, err := fed.NewTrainer(sp, pcfg)
-			if err != nil {
-				return nil, fmt.Errorf("scalability: %w", err)
-			}
-			runtime.GC()
-			start = time.Now()
-			pipeRounds := ptr.RunPipelined()
-			if t := time.Since(start).Seconds(); t < pipeSecs {
-				pipeSecs = t
-			}
-			if g == 0 {
-				seqRounds = rounds
-			}
-			if !roundsEqual(seqRounds, rounds) || !roundsEqual(seqRounds, pipeRounds) {
-				res.Deterministic = false
-			}
-		}
-		res.SeqRoundSecs = seqSecs / float64(pcfg.Rounds)
-		res.PipeRoundSecs = pipeSecs / float64(pcfg.Rounds)
-		if res.PipeRoundSecs > 0 {
-			res.PipelineSpeedup = res.SeqRoundSecs / res.PipeRoundSecs
-		}
-	}
-
-	// Networked round engine: the same training once more through the
-	// coordinator service and two participants over a loopback HTTP listener,
-	// at the sweep's max worker count — first on the serialized schedule
-	// (SequentialRounds, the retained baseline), then under the pipelined
-	// coordinator. One HTTP request per upload makes this O(users) requests
-	// per round, so it is gated to small profiles; both histories must still
-	// match the in-process rows bit for bit.
-	if sp.NumUsers <= netLoopbackMaxUsers {
-		counts := scalabilityWorkerCounts()
-		ncfg := cfg
-		ncfg.Workers = counts[len(counts)-1]
-		ncfg.EvalWorkers = ncfg.Workers
-		ncfg.TrainWorkers = ncfg.Workers
-		// The sweep rows time bare rounds; keep per-round evaluation out of
-		// the networked run too so the histories stay comparable.
-		ncfg.EvalEvery = 0
-		ncfg.SequentialRounds = true
-		o.logf("scalability: networked loopback run (workers=%d, sequential)\n", ncfg.Workers)
-		netSecs, netBytes, netRounds, err := runLoopback(sp, ncfg, p, o.Seed, evaluator)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: loopback: %w", err)
-		}
-		if !roundsEqual(refRounds, netRounds) {
-			res.Deterministic = false
-		}
-		res.NetRoundSecs = netSecs / float64(ncfg.Rounds)
-		res.NetWireBytes = netBytes
-
-		ncfg.SequentialRounds = false
-		o.logf("scalability: networked loopback run (workers=%d, pipelined)\n", ncfg.Workers)
-		pipeSecs, _, pipeRounds, err := runLoopback(sp, ncfg, p, o.Seed, evaluator)
-		if err != nil {
-			return nil, fmt.Errorf("scalability: loopback: %w", err)
-		}
-		if !roundsEqual(refRounds, pipeRounds) {
-			res.Deterministic = false
-		}
-		res.NetPipeRoundSecs = pipeSecs / float64(ncfg.Rounds)
+	if evaluator != nil {
+		res.CandCacheBytes = evaluator.CacheBytes()
 	}
 	return res, nil
 }
 
-// netLoopbackMaxUsers bounds the profiles the networked loopback measurement
-// runs on: past it the O(users) HTTP requests per round would dominate the
-// sweep's wall-clock.
-const netLoopbackMaxUsers = 10_000
+// runTable is the one timing protocol: scalabilityGroups cycles over the
+// table, the reference first in each, a forced GC before every run. Each row
+// keeps its fastest run (and its fastest evaluation) and the peak heap over
+// all its runs; every run's history and evaluation must equal the
+// reference's.
+func runTable(o Options, variants []variant, base fed.Config, users int,
+	drive func(variant, fed.Config) (runOut, error)) ([]ScalabilityRow, bool, error) {
+	cfgs := make([]fed.Config, len(variants))
+	for i, v := range variants {
+		cfgs[i] = base
+		if v.edit != nil {
+			v.edit(&cfgs[i])
+		}
+	}
+	best := make([]runOut, len(variants))
+	evalSecs := make([]float64, len(variants))
+	peaks := make([]uint64, len(variants))
+	det := true
+	for g := 0; g < scalabilityGroups; g++ {
+		for i, v := range variants {
+			o.logf("scalability: pass %d/%d %s (%s, workers=%d)\n", g+1, scalabilityGroups, v.name, v.driver, cfgs[i].Workers)
+			runtime.GC()
+			stop := watchHeap()
+			out, err := drive(v, cfgs[i])
+			peaks[i] = max(peaks[i], stop())
+			if err != nil {
+				return nil, false, fmt.Errorf("%s: %w", v.name, err)
+			}
+			if g == 0 || out.secs < best[i].secs {
+				best[i] = out
+			}
+			if g == 0 || out.evalSecs < evalSecs[i] {
+				evalSecs[i] = out.evalSecs
+			}
+			if !roundsEqual(out.rounds, best[0].rounds) || out.final != best[0].final {
+				det = false
+			}
+		}
+	}
 
-// runLoopback drives one full training run through the networked coordinator
-// on a loopback listener with two participants splitting the user universe,
-// returning the run's wall-clock seconds, total wire bytes (both directions),
-// and the round history for the bitwise cross-check.
-func runLoopback(sp *data.Split, cfg fed.Config, p data.Profile, seed uint64, evaluator *eval.Evaluator) (float64, int64, []fed.RoundStats, error) {
+	perRound := 1 / float64(base.Rounds)
+	rows := make([]ScalabilityRow, len(variants))
+	for i, v := range variants {
+		b := best[i]
+		rows[i] = ScalabilityRow{
+			Variant:          v.name,
+			Driver:           v.driver,
+			Workers:          cfgs[i].Workers,
+			RoundSecs:        b.secs * perRound,
+			EvalSecs:         evalSecs[i],
+			Recall:           b.final.Recall,
+			NDCG:             b.final.NDCG,
+			ClientSecs:       b.phases.ClientTrain * perRound,
+			AbsorbSecs:       b.phases.Absorb * perRound,
+			GraphSecs:        b.phases.GraphBuild * perRound,
+			ServerTrainSecs:  b.phases.ServerTrain * perRound,
+			DisperseSecs:     b.phases.Disperse * perRound,
+			WireBytes:        b.wire,
+			PeakHeapBytes:    peaks[i],
+			UploadStoreBytes: b.upload,
+			EligCacheBytes:   b.elig,
+			GraphEngineBytes: b.graph,
+			BytesPerUser:     float64(b.upload+b.elig) / float64(users),
+		}
+		if rows[0].RoundSecs > 0 {
+			rows[i].RefSpeedup = rows[i].RoundSecs / rows[0].RoundSecs
+		}
+	}
+	return rows, det, nil
+}
+
+// runInproc drives one run through the in-process trainer: RunRounds timed,
+// then (when the profile evaluates) one timed EvaluateServer on the shared
+// candidate cache, with the config's EvalSingleUser engine choice applied.
+func runInproc(sp *data.Split, cfg fed.Config, evaluator *eval.Evaluator) (runOut, error) {
+	tr, err := fed.NewTrainer(sp, cfg)
+	if err != nil {
+		return runOut{}, err
+	}
+	if evaluator != nil {
+		ev := *evaluator // shares the cache; the engine flag is per copy
+		ev.SingleUser = cfg.EvalSingleUser
+		tr.ShareEvaluator(&ev)
+	}
+	start := time.Now()
+	out := runOut{rounds: tr.RunRounds()}
+	out.secs = time.Since(start).Seconds()
+	out.phases = tr.PhaseSeconds()
+	if evaluator != nil {
+		start = time.Now()
+		out.final = tr.EvaluateServer()
+		out.evalSecs = time.Since(start).Seconds()
+	}
+	sv := tr.Server()
+	out.upload, out.elig, out.graph = sv.UploadStoreBytes(), sv.EligCacheBytes(), sv.GraphEngineBytes()
+	return out, nil
+}
+
+// runLoopback drives one run through the networked coordinator on a loopback
+// listener with two participants splitting the user universe. The timed
+// region is Coordinator.Run, final evaluation included.
+func runLoopback(sp *data.Split, cfg fed.Config, p data.Profile, seed uint64, evaluator *eval.Evaluator) (runOut, error) {
 	c, err := coord.New(sp, cfg, coord.Options{Profile: p.Name, DataSeed: seed, TestFrac: 0.2})
 	if err != nil {
-		return 0, 0, nil, err
+		return runOut{}, err
 	}
 	c.ShareEvaluator(evaluator)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return 0, 0, nil, err
+		return runOut{}, err
 	}
 	srv := &http.Server{Handler: c.Handler()}
 	go srv.Serve(ln)
@@ -674,7 +371,7 @@ func runLoopback(sp *data.Split, cfg fed.Config, p data.Profile, seed uint64, ev
 	for _, r := range [][2]int{{0, half}, {half, sp.NumUsers}} {
 		pt, err := coord.Join(base, r[0], r[1], nil)
 		if err != nil {
-			return 0, 0, nil, err
+			return runOut{}, err
 		}
 		go func() { errCh <- pt.Run(ctx) }()
 	}
@@ -682,172 +379,50 @@ func runLoopback(sp *data.Split, cfg fed.Config, p data.Profile, seed uint64, ev
 	h, err := c.Run(ctx)
 	secs := time.Since(start).Seconds()
 	if err != nil {
-		return 0, 0, nil, err
+		return runOut{}, err
 	}
 	for i := 0; i < 2; i++ {
 		if perr := <-errCh; perr != nil {
-			return 0, 0, nil, perr
+			return runOut{}, perr
 		}
 	}
 	in, out := c.WireBytes()
-	return secs, in + out, h.Rounds, nil
+	return runOut{secs: secs, rounds: h.Rounds, final: h.Final, wire: in + out}, nil
 }
 
-// runScalabilityMemory is the huge-profile arm of the scalability experiment:
-// a memory-scalability measurement at a user count (Huge1M's million users)
-// where the ordinary sweep's materialised dataset, eager clients and full
-// candidate cache are off the table. The split streams straight from the
-// generator, clients build lazily on first participation, each round samples
-// a few thousand participants, and no evaluator exists — so the retained
-// state under measurement is exactly the server's per-user structures: the
-// flat upload store, the bounded eligibility cache, and the incremental
-// graph engine's maintained rows. The same training then re-runs on the
-// retained map-based store and again under the full per-round graph rebuild;
-// all three round histories must match bit for bit, the two stores'
-// footprints are reported side by side, and the graph-incr/graph-full gap is
-// the partial-participation payoff of the dirty-delta engine (a few thousand
-// participants against a million-user store).
-func runScalabilityMemory(o Options, p data.Profile) (*ScalabilityResult, error) {
-	var hs heapSampler
-	o.logf("scalability: memory profile %s (%d users, streamed split)\n", p.Name, p.NumUsers)
-	sp := data.StreamSplit(p, o.Seed, 0.2)
-	runtime.GC()
-	hs.sample()
-
-	// Same model pairing as the sweep (MF clients under a LightGCN server),
-	// with the per-round participant count pinned near the full-scale sweep's
-	// (~5k clients) so round cost stays bounded while the store still
-	// accumulates fresh users every round.
-	cfg := fed.DefaultConfig(models.KindLightGCN)
-	cfg.ClientModel = models.KindMF
-	cfg.Seed = o.Seed
-	cfg.Dim = 16
-	cfg.Rounds = 2
-	cfg.ClientEpochs = 1
-	cfg.ServerEpochs = 1
-	cfg.ClientBatch = 32
-	cfg.ServerBatch = 8192
-	cfg.LazyClients = true
-	cfg.Workers = runtime.GOMAXPROCS(0)
-	cfg.EvalWorkers = cfg.Workers
-	cfg.TrainWorkers = cfg.Workers
-	cfg.ClientFraction = 5000 / float64(p.NumUsers)
-	if cfg.ClientFraction > 1 {
-		cfg.ClientFraction = 1
+// watchHeap samples the heap-object footprint (live plus not yet swept, the
+// runtime/metrics counterpart of MemStats.HeapAlloc) every 5 ms on its own
+// goroutine; the returned stop ends sampling and reports the peak.
+func watchHeap() (stop func() uint64) {
+	sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		rtmetrics.Read(sample)
+		return sample[0].Value.Uint64()
 	}
-	if o.Rounds > 0 {
-		cfg.Rounds = o.Rounds
-	}
-
-	res := &ScalabilityResult{
-		Profile:       p.Name,
-		Users:         sp.NumUsers,
-		Items:         sp.NumItems,
-		Rounds:        cfg.Rounds,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Deterministic: true,
-		MemoryProfile: true,
-	}
-
-	run := func(mapStore, fullRebuild bool) (*fed.Trainer, []fed.RoundStats, error) {
-		rcfg := cfg
-		rcfg.MapUploadStore = mapStore
-		rcfg.FullGraphRebuild = fullRebuild
-		tr, err := fed.NewTrainer(sp, rcfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scalability: %w", err)
+	var peak uint64
+	done, finished := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			peak = max(peak, read())
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
 		}
-		rounds := make([]fed.RoundStats, 0, rcfg.Rounds)
-		for round := 0; round < rcfg.Rounds; round++ {
-			o.logf("scalability: memory profile round %d (map=%v full-graph=%v)\n", round, mapStore, fullRebuild)
-			rounds = append(rounds, tr.RunRound(round))
-			hs.sample()
-		}
-		return tr, rounds, nil
-	}
-
-	start := time.Now()
-	flatTr, flatRounds, err := run(false, false)
-	if err != nil {
-		return nil, err
-	}
-	trainSecs := time.Since(start).Seconds()
-	phases := flatTr.PhaseSeconds()
-	perRound := 1 / float64(cfg.Rounds)
-	row := ScalabilityRow{
-		Workers:          cfg.Workers,
-		RoundSecs:        trainSecs * perRound,
-		ClientSecs:       phases.ClientTrain * perRound,
-		AbsorbSecs:       phases.Absorb * perRound,
-		GraphSecs:        phases.GraphBuild * perRound,
-		ServerTrainSecs:  phases.ServerTrain * perRound,
-		DisperseSecs:     phases.Disperse * perRound,
-		UploadStoreBytes: flatTr.Server().UploadStoreBytes(),
-		EligCacheBytes:   flatTr.Server().EligCacheBytes(),
-		GraphIncrSecs:    phases.GraphBuild * perRound,
-		GraphEngineBytes: flatTr.Server().GraphEngineBytes(),
-	}
-	if row.RoundSecs > 0 {
-		row.RoundsPerSec = 1 / row.RoundSecs
-	}
-	row.BytesPerUser = float64(row.UploadStoreBytes+row.EligCacheBytes) / float64(sp.NumUsers)
-
-	// Map-store baseline: identical training, retained store implementation.
-	mapTr, mapRounds, err := run(true, false)
-	if err != nil {
-		return nil, err
-	}
-	if !roundsEqual(flatRounds, mapRounds) {
-		res.Deterministic = false
-	}
-	res.MapUploadStoreBytes = mapTr.Server().UploadStoreBytes()
-
-	// Full-rebuild baseline: identical training, per-round from-scratch graph
-	// reconstruction. At a few thousand participants per round against the
-	// million-user store, this gap is the incremental engine's headline number.
-	fullTr, fullRounds, err := run(false, true)
-	if err != nil {
-		return nil, err
-	}
-	if !roundsEqual(flatRounds, fullRounds) {
-		res.Deterministic = false
-	}
-	row.GraphFullSecs = fullTr.PhaseSeconds().GraphBuild * perRound
-	if row.GraphIncrSecs > 0 {
-		row.GraphRebuildSpeedup = row.GraphFullSecs / row.GraphIncrSecs
-	}
-
-	hs.sample()
-	row.PeakHeapBytes = hs.peak
-	res.Rows = append(res.Rows, row)
-	return res, nil
-}
-
-// scalarScorer hides a model's BlockScorer so evaluation is forced through
-// the per-item scoring path, keeping the warm-up and buffer-reuse extensions
-// — the baseline the batched-vs-scalar comparison rows measure against.
-type scalarScorer struct {
-	m models.Recommender
-}
-
-func (s scalarScorer) ScoreItems(u int, items []int) []float64 { return s.m.ScoreItems(u, items) }
-
-func (s scalarScorer) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	if is, ok := s.m.(models.InplaceScorer); ok {
-		return is.ScoreItemsInto(dst, u, items)
-	}
-	return s.m.ScoreItems(u, items)
-}
-
-func (s scalarScorer) WarmScoring() {
-	if w, ok := s.m.(models.Warmer); ok {
-		w.WarmScoring()
+	}()
+	return func() uint64 {
+		close(done)
+		<-finished
+		return max(peak, read())
 	}
 }
 
 // roundsEqual compares two training traces field by field. Bitwise float
-// equality is intentional: the round engine promises identical results for
-// every worker count.
+// equality is intentional: every variant promises the reference's history.
 func roundsEqual(a, b []fed.RoundStats) bool {
 	if len(a) != len(b) {
 		return false
@@ -860,83 +435,42 @@ func roundsEqual(a, b []fed.RoundStats) bool {
 	return true
 }
 
-// Print renders the sweep (or, for huge profiles, the memory profile).
+// Print renders the table: timings, then memory. A "-" marks a column the
+// row's driver or profile does not measure.
 func (r *ScalabilityResult) Print(w io.Writer) {
-	if r.MemoryProfile {
-		row := r.Rows[0]
-		fmt.Fprintf(w, "Scalability (memory profile): %s (%d users × %d items), %d rounds, GOMAXPROCS=%d\n",
-			r.Profile, r.Users, r.Items, r.Rounds, r.GOMAXPROCS)
-		fmt.Fprintf(w, "  round-secs=%.3f  client=%.3f absorb=%.3f graph=%.3f server-sgd=%.3f disperse=%.3f\n",
-			row.RoundSecs, row.ClientSecs, row.AbsorbSecs, row.GraphSecs, row.ServerTrainSecs, row.DisperseSecs)
-		fmt.Fprintf(w, "  graph engines: graph-incr=%.3f graph-full=%.3f graph-spdup=%.2fx  engine=%s\n",
-			row.GraphIncrSecs, row.GraphFullSecs, row.GraphRebuildSpeedup,
-			comm.FormatBytes(float64(row.GraphEngineBytes)))
-		fmt.Fprintf(w, "  peak-heap=%s  upload-store=%s  elig-cache=%s  server-state=%.1f bytes/user\n",
-			comm.FormatBytes(float64(row.PeakHeapBytes)), comm.FormatBytes(float64(row.UploadStoreBytes)),
-			comm.FormatBytes(float64(row.EligCacheBytes)), row.BytesPerUser)
-		// At sparse per-round participation the flat store's fixed-stride
-		// index (12 B/user) dominates and the map can be smaller; the flat
-		// store wins as the uploaded population densifies. Print both sizes
-		// without editorialising.
-		fmt.Fprintf(w, "  map-baseline store=%s  flat store=%s (index is 12 B/user fixed)\n",
-			comm.FormatBytes(float64(r.MapUploadStoreBytes)), comm.FormatBytes(float64(row.UploadStoreBytes)))
-		fmt.Fprintf(w, "  flat-vs-map round histories identical: %v\n", r.Deterministic)
-		return
+	secs := func(v float64) string {
+		if v == 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.3f", v)
 	}
-	fmt.Fprintf(w, "Scalability: %s (%d users × %d items), %d rounds, GOMAXPROCS=%d\n",
-		r.Profile, r.Users, r.Items, r.Rounds, r.GOMAXPROCS)
-	fmt.Fprintf(w, "  %-8s %12s %12s %10s %10s %10s %12s %12s %12s %12s\n",
-		"workers", "round-secs", "rounds/sec", "round-spdup", "eval-secs", "eval-spdup",
-		"eval-scalar", "batch-spdup", "eval-sort", "select-spdup")
+	fmt.Fprintf(w, "Scalability: %s (%d users × %d items), %d rounds, client fraction %g, GOMAXPROCS=%d\n",
+		r.Profile, r.Users, r.Items, r.Rounds, r.ClientFraction, r.GOMAXPROCS)
+	fmt.Fprintln(w, "  secs/round (fastest of 3 runs paired with the reference; vs-ref = row / reference), eval secs/pass:")
+	fmt.Fprintf(w, "  %-17s %-8s %7s %9s %7s %7s %7s %7s %7s %10s %9s %9s\n",
+		"variant", "driver", "workers", "round", "vs-ref", "eval", "client", "absorb", "graph", "server-sgd", "disperse", "wire")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12.3f %12.3f %10.2fx %10.3f %10.2fx %12.3f %11.2fx %12.3f %11.2fx\n",
-			row.Workers, row.RoundSecs, row.RoundsPerSec, row.RoundSpeedup, row.EvalSecs, row.EvalSpeedup,
-			row.EvalScalarSecs, row.BatchedEvalSpeedup, row.EvalSortSecs, row.SelectSpeedup)
+		wire := "-"
+		if row.WireBytes > 0 {
+			wire = comm.FormatBytes(float64(row.WireBytes))
+		}
+		fmt.Fprintf(w, "  %-17s %-8s %7d %9.3f %6.2fx %7s %7s %7s %7s %10s %9s %9s\n",
+			row.Variant, row.Driver, row.Workers, row.RoundSecs, row.RefSpeedup, secs(row.EvalSecs),
+			secs(row.ClientSecs), secs(row.AbsorbSecs), secs(row.GraphSecs), secs(row.ServerTrainSecs),
+			secs(row.DisperseSecs), wire)
 	}
-	fmt.Fprintln(w, "  eval engines (secs/pass, min of 3 paired passes):")
-	fmt.Fprintf(w, "  %-8s %18s %17s %16s\n",
-		"workers", "eval-users-batched", "eval-users-scalar", "eval-users-spdup")
+	fmt.Fprintln(w, "  memory (peak heap over the row's runs; footprints after its fastest in-process run):")
+	fmt.Fprintf(w, "  %-17s %7s %10s %13s %11s %13s %14s\n",
+		"variant", "workers", "peak-heap", "upload-store", "elig-cache", "graph-engine", "server-B/user")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %18.3f %17.3f %15.2fx\n",
-			row.Workers, row.EvalUsersBatchedSecs, row.EvalUsersScalarSecs, row.EvalUsersSpeedup)
-	}
-	fmt.Fprintln(w, "  per-phase (secs/round) + dispersal engine sweeps (secs/sweep):")
-	fmt.Fprintf(w, "  %-8s %10s %10s %10s %12s %10s %15s %15s %15s %12s %12s\n",
-		"workers", "client", "absorb", "graph", "server-sgd", "disperse",
-		"disperse-batch", "disperse-scalar", "disperse-spdup", "sgd-spdup", "graph-spdup")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %10.3f %10.3f %10.3f %12.3f %10.3f %15.3f %15.3f %14.2fx %11.2fx %11.2fx\n",
-			row.Workers, row.ClientSecs, row.AbsorbSecs, row.GraphSecs,
-			row.ServerTrainSecs, row.DisperseSecs, row.DisperseBatchedSecs, row.DisperseScalarSecs,
-			row.DisperseSpeedup, row.ServerTrainSpeedup, row.GraphSpeedup)
-	}
-	fmt.Fprintln(w, "  graph engines (secs/round, incremental vs full rebuild):")
-	fmt.Fprintf(w, "  %-8s %12s %12s %12s %12s\n",
-		"workers", "graph-incr", "graph-full", "graph-spdup", "graph-bytes")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12.3f %12.3f %11.2fx %12s\n",
-			row.Workers, row.GraphIncrSecs, row.GraphFullSecs, row.GraphRebuildSpeedup,
-			comm.FormatBytes(float64(row.GraphEngineBytes)))
-	}
-	fmt.Fprintln(w, "  memory (post-run retained state; peak = max live heap at phase boundaries):")
-	fmt.Fprintf(w, "  %-8s %12s %13s %12s %12s %16s\n",
-		"workers", "peak-heap", "upload-store", "elig-cache", "cand-cache", "server-B/user")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8d %12s %13s %12s %12s %16.1f\n",
-			row.Workers, comm.FormatBytes(float64(row.PeakHeapBytes)),
+		fmt.Fprintf(w, "  %-17s %7d %10s %13s %11s %13s %14.1f\n",
+			row.Variant, row.Workers, comm.FormatBytes(float64(row.PeakHeapBytes)),
 			comm.FormatBytes(float64(row.UploadStoreBytes)), comm.FormatBytes(float64(row.EligCacheBytes)),
-			comm.FormatBytes(float64(row.CandCacheBytes)), row.BytesPerUser)
+			comm.FormatBytes(float64(row.GraphEngineBytes)), row.BytesPerUser)
 	}
-	fmt.Fprintf(w, "  eval+dispersal tail: sequential %.3fs, overlapped %.3fs (%.2fx)\n",
-		r.OverlapSequentialSecs, r.OverlapConcurrentSecs, r.OverlapSpeedup)
-	if r.PipeRoundSecs > 0 {
-		fmt.Fprintf(w, "  cross-round pipeline (fraction 0.3): sequential %.3f s/round, pipelined %.3f s/round (%.2fx)\n",
-			r.SeqRoundSecs, r.PipeRoundSecs, r.PipelineSpeedup)
+	if r.CandCacheBytes > 0 {
+		fmt.Fprintf(w, "  shared candidate cache: %s; recall@20=%.4f ndcg@20=%.4f\n",
+			comm.FormatBytes(float64(r.CandCacheBytes)), r.Rows[0].Recall, r.Rows[0].NDCG)
 	}
-	if r.NetRoundSecs > 0 {
-		fmt.Fprintf(w, "  networked loopback: sequential %.3f s/round, pipelined %.3f s/round, %s on the wire\n",
-			r.NetRoundSecs, r.NetPipeRoundSecs, comm.FormatBytes(float64(r.NetWireBytes)))
-	}
-	fmt.Fprintf(w, "  metrics identical across worker counts and scoring paths: %v (recall@20=%.4f ndcg@20=%.4f)\n",
-		r.Deterministic, r.Rows[0].Recall, r.Rows[0].NDCG)
+	fmt.Fprintf(w, "  every variant's history identical to the reference: %v\n", r.Deterministic)
 }

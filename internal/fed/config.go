@@ -70,7 +70,9 @@ type Config struct {
 
 	// GraphThreshold is the uploaded-score cutoff above which the server
 	// treats a triple as a soft-positive edge when rebuilding its graph.
-	// The paper leaves this construction open; see DESIGN.md §3.
+	// The paper leaves this construction open; see DESIGN.md §3. It must lie
+	// in (0, 1]: a zero cutoff would select zero-weight edges, which the
+	// incremental graph engine cannot represent.
 	GraphThreshold float64
 
 	// GraphTopFrac, when positive, switches the server's edge selection to
@@ -113,8 +115,8 @@ type Config struct {
 	// instead of the round-scoped multi-user batched engine (shared
 	// eligibility cache + multi-user GEMM scoring). Results are
 	// bitwise-identical either way — the knob exists as the timing baseline
-	// for the scalability experiment's disperse-scalar/disperse-spdup columns
-	// and for invariance tests.
+	// for the scalability table's disperse-scalar row and for invariance
+	// tests.
 	DisperseScalar bool
 
 	// MapUploadStore forces the server's per-user latest-upload state through
@@ -122,7 +124,7 @@ type Config struct {
 	// (contiguous prediction slabs with a fixed-stride offset/length index).
 	// Results are bitwise-identical either way — the knob is the
 	// memory/timing baseline (the DisperseScalar pattern) for the scalability
-	// experiment's store columns and the upload-store invariance suite.
+	// table's map-store row and the upload-store invariance suite.
 	MapUploadStore bool
 
 	// FullGraphRebuild forces the server's per-round graph reconstruction
@@ -132,8 +134,7 @@ type Config struct {
 	// maintains rows, degree vectors, and postings in O(changed users +
 	// affected items). Results are bitwise-identical either way — the knob is
 	// the timing baseline (the MapUploadStore pattern) for the scalability
-	// experiment's graph-full/graph-spdup columns and the graph invariance
-	// suite.
+	// table's full-graph row and the graph invariance suite.
 	FullGraphRebuild bool
 
 	// EligCacheEntries bounds the dispersal eligibility cache: at most this
@@ -157,11 +158,11 @@ type Config struct {
 	// probability-domain engine (one fused ScoreBlockTopK selection per user)
 	// instead of the multi-user batched logit engine. Results are
 	// bitwise-identical either way — the knob exists as the timing baseline
-	// for the scalability experiment's eval-users-scalar/eval-users-spdup
-	// columns and for invariance tests, mirroring DisperseScalar.
+	// for the scalability table's eval-single-user row and for invariance
+	// tests, mirroring DisperseScalar.
 	EvalSingleUser bool
 
-	// SequentialRounds forces Trainer.Run (and the networked coordinator's
+	// SequentialRounds forces Trainer.RunRounds (and the networked coordinator's
 	// round loop) through the fully serialized schedule — round r's server
 	// phases and dispersal deliveries complete before any of round r+1's
 	// clients train — instead of the cross-round pipeline that overlaps
@@ -172,8 +173,8 @@ type Config struct {
 	// (Select never consumes generator state), and every per-(round, client)
 	// stream derives from the immutable root — so training order across
 	// rounds cannot leak into results. The knob is the timing baseline (the
-	// DisperseScalar pattern) for the scalability experiment's
-	// pipe-round/pipe-spdup columns and the pipeline invariance suite.
+	// DisperseScalar pattern) for the scalability table's sequential and
+	// net-sequential rows and the pipeline invariance suite.
 	SequentialRounds bool
 
 	// Faults optionally injects client dropouts and truncated uploads to
@@ -236,7 +237,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: Alpha = %d", c.Alpha)
 	case c.Mu < 0 || c.Mu > 1:
 		return fmt.Errorf("fed: Mu = %v", c.Mu)
-	case c.GraphThreshold < 0 || c.GraphThreshold > 1:
+	case !(c.GraphThreshold > 0) || c.GraphThreshold > 1:
 		return fmt.Errorf("fed: GraphThreshold = %v", c.GraphThreshold)
 	case c.GraphTopFrac < 0 || c.GraphTopFrac > 1:
 		return fmt.Errorf("fed: GraphTopFrac = %v", c.GraphTopFrac)

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"testing"
+	"time"
 
 	"ptffedrec/internal/data"
 	"ptffedrec/internal/models"
@@ -35,8 +36,8 @@ func benchDisperseTrainer(b *testing.B) *Trainer {
 // BenchmarkDisperse measures the dispersal engines head to head on the same
 // warmed server state: the per-client scalar path against the round-scoped
 // multi-user batched path. Both iterate every client serially, so the ratio
-// is the single-worker engine gain the scalability experiment's
-// disperse-spdup column reports end-to-end.
+// is the single-worker engine gain; the scalability table's disperse-scalar
+// row shows it end to end.
 func BenchmarkDisperse(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		tr := benchDisperseTrainer(b)
@@ -75,4 +76,56 @@ func BenchmarkDisperse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRoundEval measures the eval+dispersal overlap: each op is one
+// round with a server evaluation, run as RunRound followed by EvaluateServer
+// (sequential) or as RunRoundEval (overlapped, which falls back to the
+// sequential order at GOMAXPROCS 1). tail-s/op is the dispersal+eval tail
+// alone — Disperse plus the eval's wall on the sequential side, the
+// DisperseEvalWall phase on the overlapped side — since client training
+// dominates the round. Both sides must produce identical stats.
+func BenchmarkRoundEval(b *testing.B) {
+	var want []RoundStats
+	for _, overlapped := range []bool{false, true} {
+		name := "sequential"
+		if overlapped {
+			name = "overlapped"
+		}
+		b.Run(name, func(b *testing.B) {
+			tr := benchDisperseTrainer(b)
+			tr.ResetPhaseSeconds()
+			var got []RoundStats
+			var evalSecs float64
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				round := tr.cfg.Rounds + n
+				if overlapped {
+					rs, _ := tr.RunRoundEval(round)
+					got = append(got, rs)
+					continue
+				}
+				rs := tr.RunRound(round)
+				start := time.Now()
+				res := tr.EvaluateServer()
+				evalSecs += time.Since(start).Seconds()
+				rs.Recall, rs.NDCG, rs.Evaluated = res.Recall, res.NDCG, true
+				got = append(got, rs)
+			}
+			b.StopTimer()
+			tail := tr.PhaseSeconds().Disperse + evalSecs
+			if overlapped {
+				tail = tr.PhaseSeconds().DisperseEvalWall
+			}
+			b.ReportMetric(tail/float64(b.N), "tail-s/op")
+			if want == nil {
+				want = got
+			}
+			for i := range got {
+				if i < len(want) && got[i] != want[i] {
+					b.Fatalf("round %d: %s stats %+v != sequential %+v", got[i].Round, name, got[i], want[i])
+				}
+			}
+		})
+	}
 }

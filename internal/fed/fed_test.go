@@ -46,6 +46,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Alpha = -1 },
 		func(c *Config) { c.Mu = 2 },
 		func(c *Config) { c.GraphThreshold = -0.1 },
+		func(c *Config) { c.GraphThreshold = 0 },
 		func(c *Config) { c.EvalK = 0 },
 		func(c *Config) { c.Disperse = "bogus" },
 		func(c *Config) { c.Privacy.Defense = "bogus" },

@@ -131,36 +131,6 @@ func TestGraphRebuildInvariance(t *testing.T) {
 	}
 }
 
-// TestGraphRebuildFallbackOnZeroWeight pins the refusal path: a selected
-// edge with weight 0 (reachable only with GraphThreshold = 0) must trip the
-// permanent full-rebuild fallback instead of corrupting the engine — and the
-// fallback must keep producing the correct graph.
-func TestGraphRebuildFallbackOnZeroWeight(t *testing.T) {
-	sv := storeTestServer(t, 50, 20, func(c *Config) {
-		c.ServerModel = models.KindLightGCN
-		c.GraphThreshold = 0
-	})
-	// Round 1: positive weights, incremental path engages.
-	s := rng.New(5).Derive("fallback")
-	sv.absorb([][]comm.Prediction{makeUpload(3, 6, 20, s)}, 1)
-	sv.rebuildGraph(1)
-	if sv.inc == nil || sv.incBroken {
-		t.Fatal("incremental path did not engage on positive weights")
-	}
-	// Round 2: a zero-score upload selected by the zero threshold.
-	sv.absorb([][]comm.Prediction{{{User: 7, Item: 2, Score: 0}}}, 1)
-	sv.rebuildGraph(1)
-	if !sv.incBroken {
-		t.Fatal("zero-weight edge did not trip the fallback")
-	}
-	// Later rounds stay on the full path and keep absorbing fine.
-	sv.absorb([][]comm.Prediction{makeUpload(9, 4, 20, s)}, 1)
-	sv.rebuildGraph(1)
-	if gm, ok := sv.model.(models.GraphRecommender); !ok || gm == nil {
-		t.Fatal("server model lost its graph capability")
-	}
-}
-
 // TestRunRoundEvalSequentialFallback pins satellite behaviour of the
 // GOMAXPROCS gate: with one schedulable thread RunRoundEval runs eval
 // sequentially after dispersal, and the History is bitwise-identical to the

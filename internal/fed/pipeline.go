@@ -18,7 +18,7 @@ import (
 // client-local (its model, its split rows, its pure per-(round, client)
 // streams), and the server phases never touch client state.
 //
-// RunPipelined exploits that with a two-round double buffer:
+// runPipelined exploits that with a two-round double buffer:
 //
 //	round r   : [ uploads r ][ absorb/graph/train/disperse r ][ deliver r ]
 //	round r+1 :              [ free wave (∉ cohort(r)) trains ][ gated wave trains ]
@@ -35,12 +35,11 @@ import (
 // time-slicing overhead (the GOMAXPROCS gate that PR 8 gave the eval
 // overlap).
 
-// RunPipelined executes the configured rounds through the cross-round
+// runPipelined executes the configured rounds through the cross-round
 // pipeline and returns the per-round stats. Periodic evaluations
-// (Config.EvalEvery) overlap dispersal exactly as in RunRoundEval. It is the
-// loop body behind Run's default schedule, exported so the scalability
-// experiment can time the pipeline without the final evaluation.
-func (t *Trainer) RunPipelined() []RoundStats {
+// (Config.EvalEvery) overlap dispersal exactly as in RunRoundEval. It is
+// RunRounds' default schedule.
+func (t *Trainer) runPipelined() []RoundStats {
 	rounds := make([]RoundStats, 0, t.cfg.Rounds)
 	if t.cfg.Rounds <= 0 {
 		return rounds

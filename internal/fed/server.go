@@ -59,15 +59,13 @@ type Server struct {
 	edgeSort   edgeSorter
 
 	// Incremental graph engine state (graph server models only): the
-	// maintained adjacency, the reused dirty-user buffer, and the permanent
-	// fallback flag. The engine requires strictly positive edge weights (the
-	// full build skips zero-degree endpoints, which would make row membership
-	// data-dependent); a non-positive selected weight — only reachable with
-	// GraphThreshold <= 0 — trips incBroken and every later round takes the
-	// full rebuild, which is bitwise-identical anyway.
-	inc       *graph.Incremental
-	incDirty  []int
-	incBroken bool
+	// maintained adjacency and the reused dirty-user buffer. The engine
+	// requires strictly positive edge weights (the full build skips
+	// zero-degree endpoints, which would make row membership data-dependent);
+	// Config.Validate rejects GraphThreshold <= 0 and the top-fraction rule
+	// floors weights at 0.05, so every selected weight is positive.
+	inc      *graph.Incremental
+	incDirty []int
 
 	// upGen counts absorbed (non-empty) uploads per user — the server-side
 	// upload generation the dispersal eligibility cache keys invalidation on.
@@ -236,7 +234,7 @@ func (sv *Server) absorb(uploads [][]comm.Prediction, workers int) {
 		}
 	}
 	sv.fusedValid = false
-	if _, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.cfg.FullGraphRebuild && !sv.incBroken {
+	if _, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.cfg.FullGraphRebuild {
 		start := time.Now()
 		sv.fuseEdgeSelection(uploads, workers)
 		sv.fusedSecs += time.Since(start).Seconds()
@@ -367,16 +365,13 @@ func (sv *Server) rebuildGraph(workers int) {
 	if !ok {
 		return
 	}
-	if dm, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.cfg.FullGraphRebuild && !sv.incBroken {
-		if sv.rebuildGraphIncremental(dm, workers) {
-			return
-		}
-		sv.incBroken = true
+	if dm, ok := sv.model.(models.GraphDeltaRecommender); ok && !sv.cfg.FullGraphRebuild {
+		sv.rebuildGraphIncremental(dm, workers)
+		return
 	}
 	users, off, slab := sv.collectEdges(workers)
-	// The full path consumes the round's dirty set too, so a later switch
-	// between the paths (or the incBroken fallback) never replays stale
-	// deltas.
+	// The full path consumes the round's dirty set too, so the store never
+	// accumulates stale deltas under FullGraphRebuild.
 	sv.store.ResetDirty()
 	g := graph.NewBipartite(sv.numUsers, sv.numItems)
 	for i := range users {
@@ -388,10 +383,8 @@ func (sv *Server) rebuildGraph(workers int) {
 }
 
 // rebuildGraphIncremental runs edge selection for the dirty users only and
-// commits the delta to the maintained adjacency engine. It returns false —
-// without touching the engine — if any selected weight is non-positive; the
-// caller then falls back to the full rebuild permanently.
-func (sv *Server) rebuildGraphIncremental(dm models.GraphDeltaRecommender, workers int) bool {
+// commits the delta to the maintained adjacency engine.
+func (sv *Server) rebuildGraphIncremental(dm models.GraphDeltaRecommender, workers int) {
 	dirty := sv.store.DirtyUsers(sv.incDirty[:0])
 	sv.incDirty = dirty
 	var off []int
@@ -404,11 +397,6 @@ func (sv *Server) rebuildGraphIncremental(dm models.GraphDeltaRecommender, worke
 		off, slab = sv.collectEdgesFor(dirty, workers)
 	}
 	sv.fusedValid = false
-	for i := range slab {
-		if !(slab[i].Weight > 0) {
-			return false
-		}
-	}
 	if sv.inc == nil {
 		sv.inc = graph.NewIncremental(sv.numUsers, sv.numItems)
 	}
@@ -419,7 +407,6 @@ func (sv *Server) rebuildGraphIncremental(dm models.GraphDeltaRecommender, worke
 	sv.inc.Commit(workers)
 	sv.store.ResetDirty()
 	dm.SetGraphIncremental(sv.inc)
-	return true
 }
 
 // collectEdges gathers every stored user's selected edges into the server's
@@ -552,7 +539,7 @@ func (sv *Server) fillEdgesIn(u int, preds []comm.Prediction, dst []graph.Edge, 
 		for i := range dst {
 			idx := sorter.order[i]
 			w := preds[idx].Score
-			if w < 0.05 {
+			if !(w >= 0.05) { // NaN floors too: the incremental engine needs w > 0
 				w = 0.05
 			}
 			dst[i] = graph.Edge{User: u, Item: preds[idx].Item, Weight: w}

@@ -3,7 +3,6 @@ package fed
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"ptffedrec/internal/comm"
@@ -11,7 +10,6 @@ import (
 	"ptffedrec/internal/eval"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
-	"ptffedrec/internal/rng"
 )
 
 // RoundStats records one global round.
@@ -36,8 +34,8 @@ type History struct {
 	MeanAttackF1 float64
 }
 
-// PhaseSeconds is cumulative wall-clock per round phase across RunRound
-// calls — the per-phase breakdown the scalability experiment reports. It is
+// PhaseSeconds is cumulative wall-clock per round phase across rounds — the
+// per-phase breakdown the scalability experiment reports. It is
 // deliberately kept out of RoundStats so timing jitter never enters the
 // determinism contract on training traces.
 type PhaseSeconds struct {
@@ -78,12 +76,11 @@ type Trainer struct {
 	engine *RoundEngine
 	phases PhaseSeconds
 
-	// server/clients/meter/root alias into the engine and host (tests and
+	// server/clients/meter alias into the engine and host (tests and
 	// the in-package benchmarks reach through them).
 	server  *Server
 	clients []*Client
 	meter   *comm.Meter
-	root    *rng.Stream
 
 	// evaluator caches the per-user candidate sets across rounds (the train
 	// mask never changes), built lazily on the first evaluation. It is
@@ -110,7 +107,6 @@ func NewTrainer(sp *data.Split, cfg Config) (*Trainer, error) {
 		server:  engine.server,
 		clients: host.clients,
 		meter:   engine.meter,
-		root:    host.root,
 	}
 	engine.sharePhases(&t.phases)
 	return t, nil
@@ -213,139 +209,10 @@ func (t *Trainer) runRound(round int, withEval bool) (RoundStats, eval.Result) {
 	return stats, evalRes
 }
 
-// BenchDispersal times the two dispersal engines head to head on the frozen
-// current server state: `passes` dispersal-only sweeps over every user
-// through the round-scoped multi-user batched engine, then the same sweeps
-// through the per-client scalar engine, on the configured Workers pool.
-// Neither sweep mutates protocol state — outputs are compared, not delivered
-// — so the call is safe between rounds. It returns each engine's fastest
-// sweep (interference only ever adds time, so the minimum is the robust
-// paired estimator) and whether every client's D̃ᵢ came out identical (it
-// must; the experiment feeds this into its determinism flag).
-// The server model must support the multi-user contract; models that don't
-// report zero timings and identical=true, since only the scalar path exists.
-func (t *Trainer) BenchDispersal(passes int) (batchedSecs, scalarSecs float64, identical bool) {
-	identical = true
-	mbs, ok := t.server.model.(models.MultiBlockScorer)
-	if !ok || t.cfg.Alpha <= 0 || passes <= 0 {
-		return 0, 0, true
-	}
-	if w, ok := t.server.model.(models.Warmer); ok {
-		w.WarmScoring()
-	}
-	plan := t.server.buildDispersalPlan()
-	workers := par.Workers(t.cfg.Workers)
-	numUsers := t.split.NumUsers
-	chunk := (numUsers + workers - 1) / workers
-	// Both engines must draw identical per-client streams; a fixed
-	// derivation (pure, never consumed elsewhere) keeps the sweep
-	// reproducible and stateless. Dispersal targets come from the server's
-	// upload store, so the sweep never touches (or materialises) clients.
-	needStreams := disperseNeedsStreams(&t.cfg)
-	benchRoot := t.root.Derive("disperse-bench")
-	clientStream := func(id int) *rng.Stream {
-		if !needStreams {
-			return nil
-		}
-		return benchRoot.DeriveN("client", id)
-	}
-
-	// Measurement shape: three alternating groups per engine, each group
-	// timing `passes` back-to-back sweeps, and each engine reporting its
-	// fastest group. Long groups average out sub-second scheduler and
-	// CPU-quota stalls that a single sweep's clock aliases with; alternating
-	// groups spread slower drift evenly; and the minimum discards whole
-	// disturbed groups — interference only ever adds time.
-	const benchGroups = 3
-	out := make([][]comm.Prediction, numUsers)
-	var mismatches atomic.Int64
-	for g := 0; g < benchGroups; g++ {
-		firstGroup := g == 0
-		runtime.GC()
-		start := time.Now()
-		for p := 0; p < passes; p++ {
-			collect := firstGroup && p == 0
-			par.ForChunks(numUsers, chunk, workers, func(lo, hi int) {
-				sc := newDisperseBatchScratch()
-				for b := lo; b < hi; b += disperseBatchClients {
-					be := b + disperseBatchClients
-					if be > hi {
-						be = hi
-					}
-					slots := sc.slots[:be-b]
-					for i := b; i < be; i++ {
-						slots[i-b].tgt, sc.excls[i-b] = t.server.disperseTargetInto(i, sc.excls[i-b])
-						slots[i-b].ds = clientStream(i)
-					}
-					t.server.disperseBatch(mbs, slots, plan, sc)
-					if collect {
-						for i := b; i < be; i++ {
-							out[i] = slots[i-b].preds
-						}
-					}
-				}
-			})
-		}
-		if secs := time.Since(start).Seconds() / float64(passes); batchedSecs == 0 || secs < batchedSecs {
-			batchedSecs = secs
-		}
-
-		runtime.GC()
-		start = time.Now()
-		for p := 0; p < passes; p++ {
-			compare := firstGroup && p == 0
-			par.ForChunks(numUsers, chunk, workers, func(lo, hi int) {
-				scratch := &disperseScratch{}
-				for i := lo; i < hi; i++ {
-					var tgt disperseTarget
-					tgt, scratch.excl = t.server.disperseTargetInto(i, scratch.excl)
-					preds := t.server.disperse(tgt, clientStream(i), plan, scratch)
-					if compare && !predictionsEqual(preds, out[i]) {
-						mismatches.Add(1)
-					}
-				}
-			})
-		}
-		if secs := time.Since(start).Seconds() / float64(passes); scalarSecs == 0 || secs < scalarSecs {
-			scalarSecs = secs
-		}
-	}
-	return batchedSecs, scalarSecs, mismatches.Load() == 0
-}
-
-// predictionsEqual compares two dispersal outputs bitwise.
-func predictionsEqual(a, b []comm.Prediction) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Run executes the configured number of rounds and a final evaluation.
-// The default schedule is the cross-round pipeline (RunPipelined);
-// Config.SequentialRounds retains the serialized baseline. Either way,
-// periodic evaluations (Config.EvalEvery) overlap each round's dispersal
-// phase, and the History is bitwise-identical between the two schedules.
+// Run executes the configured number of rounds (RunRounds) and a final
+// evaluation.
 func (t *Trainer) Run() (*History, error) {
-	h := &History{}
-	if t.cfg.SequentialRounds {
-		for round := 0; round < t.cfg.Rounds; round++ {
-			var rs RoundStats
-			if t.cfg.EvalEvery > 0 && (round+1)%t.cfg.EvalEvery == 0 {
-				rs, _ = t.RunRoundEval(round)
-			} else {
-				rs = t.RunRound(round)
-			}
-			h.Rounds = append(h.Rounds, rs)
-		}
-	} else {
-		h.Rounds = t.RunPipelined()
-	}
+	h := &History{Rounds: t.RunRounds()}
 	for _, rs := range h.Rounds {
 		h.MeanAttackF1 += rs.AttackF1
 	}
@@ -354,6 +221,29 @@ func (t *Trainer) Run() (*History, error) {
 	}
 	h.Final = t.EvaluateServer()
 	return h, nil
+}
+
+// RunRounds executes the configured rounds and returns their stats, without
+// Run's final evaluation. The default schedule is the cross-round pipeline
+// (runPipelined); Config.SequentialRounds retains the serialized baseline.
+// Either way, periodic evaluations (Config.EvalEvery) overlap each round's
+// dispersal phase, and the stats are bitwise-identical between the two
+// schedules.
+func (t *Trainer) RunRounds() []RoundStats {
+	if !t.cfg.SequentialRounds {
+		return t.runPipelined()
+	}
+	rounds := make([]RoundStats, 0, t.cfg.Rounds)
+	for round := 0; round < t.cfg.Rounds; round++ {
+		var rs RoundStats
+		if t.cfg.EvalEvery > 0 && (round+1)%t.cfg.EvalEvery == 0 {
+			rs, _ = t.RunRoundEval(round)
+		} else {
+			rs = t.RunRound(round)
+		}
+		rounds = append(rounds, rs)
+	}
+	return rounds
 }
 
 // splitEvaluator returns the trainer's round-cached evaluator, building the

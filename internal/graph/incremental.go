@@ -37,8 +37,8 @@ import (
 // NormalizedAdjPar / NormalizedAdjSelfPar on the equivalent Bipartite — at
 // every worker count. The engine requires strictly positive edge weights
 // (the full build's zero-degree skip would otherwise make row membership
-// data-dependent); Commit panics if a staged weight violates that, and the
-// federated server checks first and falls back to the full rebuild instead.
+// data-dependent); Commit panics if a staged weight violates that. The
+// federated server never stages one: its config rejects GraphThreshold <= 0.
 type Incremental struct {
 	numUsers, numItems int
 

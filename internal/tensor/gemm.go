@@ -200,7 +200,7 @@ func gatherPairDotRange(dst []float64, a *Matrix, arows []int, aoff int, b *Matr
 	}
 }
 
-// gemvParMinRows is the output length below which the parallel GEMV/GEMM
+// gemvParMinRows is the output length below which the parallel gather-GEMV
 // variants stay serial: shorter candidate lists finish faster than the pool
 // handoff costs, and the dispersal/eval hot loops already run on an outer
 // worker pool. Purely a scheduling threshold — the Par kernels are

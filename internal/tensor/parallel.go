@@ -146,24 +146,6 @@ func MatMulATBPar(a, b *Matrix, workers int) *Matrix {
 	return out
 }
 
-// MulVecIntoPar computes dst = m·x like MulVecInto, sharding dst's rows over
-// workers once the output is long enough (gemvParMinRows) for the pool
-// handoff to pay. Bitwise-identical to MulVecInto for every worker count.
-func MulVecIntoPar(dst []float64, m *Matrix, x []float64, workers int) {
-	if workers <= 1 || len(dst) < gemvParMinRows {
-		MulVecInto(dst, m, x)
-		return
-	}
-	if len(dst) != m.Rows || len(x) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVecIntoPar dst[%d], m %dx%d, x[%d]", len(dst), m.Rows, m.Cols, len(x)))
-	}
-	par.ForChunks(len(dst), gemvParChunk, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = Dot(m.Row(i), x)
-		}
-	})
-}
-
 // GatherMulVecIntoPar computes dst[i] = m.Row(rows[i]+rowOffset)·x like
 // GatherMulVecInto, sharding the gathered rows over workers once the
 // candidate list is long enough (gemvParMinRows) for the pool handoff to
@@ -205,22 +187,6 @@ func GatherMulVecAddIntoPar(dst []float64, m *Matrix, rows []int, rowOffset int,
 		for i := lo; i < hi; i++ {
 			dst[i] += Dot(m.Row(rows[i]+rowOffset), x)
 		}
-	})
-}
-
-// GatherMulMatIntoPar computes the double-gathered GEMM like GatherMulMatInto,
-// sharding the candidate columns over workers once the candidate list is long
-// enough. The query dimension is typically a small batch, so the candidate
-// axis is the one worth splitting. Bitwise-identical to GatherMulMatInto for
-// every worker count.
-func GatherMulMatIntoPar(dst *Matrix, a *Matrix, arows []int, aoff int, b *Matrix, brows []int, boff int, workers int) {
-	if workers <= 1 || len(brows) < gemvParMinRows {
-		GatherMulMatInto(dst, a, arows, aoff, b, brows, boff)
-		return
-	}
-	checkGatherMat(dst, a, arows, b, brows)
-	par.ForChunks(len(brows), gemvParChunk, workers, func(jlo, jhi int) {
-		gatherMulMatRange(dst, a, arows, aoff, b, brows, boff, jlo, jhi, false)
 	})
 }
 
