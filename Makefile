@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench fmt fmt-check vet ci
+.PHONY: build test race perfbench bench fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# perfbench is a separate module that the root ./... patterns never build;
+# vet and test it so a root API change cannot break the benchmark unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the smoke benchmarks and regenerates the committed perf
 # trajectory record (the same sweep CI uploads as an artifact per commit).
@@ -48,4 +53,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build race bench
+ci: fmt-check vet build race perfbench bench

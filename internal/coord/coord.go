@@ -685,9 +685,13 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 // readUpload parses an upload body into the outcome the engine absorbs.
 // Transport cuts (clean EOF without MsgUploadEnd, or a frame severed
-// mid-payload) classify as drop/truncation; anything else is an error,
-// including a prediction for another user or for an item outside the
-// catalogue, which the engine would otherwise index out of range.
+// mid-payload) classify as drop/truncation; anything else is an error. That
+// includes a prediction for another user or for an item outside the
+// catalogue, which the engine would otherwise index out of range; a score
+// that is NaN, infinite or outside [0,1], which would become a soft label
+// and poison the server model's optimizer state; and more than NumItems
+// predictions, which bounds what one body can buffer. Honest clients send σ
+// outputs, clamped LDP scores or the quantized grid, all within [0,1].
 func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOutcome, error) {
 	mt, payload, err := comm.ReadFrame(body)
 	if err == io.EOF {
@@ -728,10 +732,19 @@ func (c *Coordinator) readUpload(body io.Reader, round, user int) (fed.ClientOut
 			if err != nil {
 				return fed.ClientOutcome{}, err
 			}
+			if len(preds)+len(chunk) > c.split.NumItems {
+				return fed.ClientOutcome{}, fmt.Errorf("coord: upload for user %d carries more than %d predictions (the catalogue size)",
+					user, c.split.NumItems)
+			}
 			for _, p := range chunk {
 				if p.User != user || p.Item < 0 || p.Item >= c.split.NumItems {
 					return fed.ClientOutcome{}, fmt.Errorf("coord: upload for user %d carries a prediction for user %d item %d (catalogue has %d items)",
 						user, p.User, p.Item, c.split.NumItems)
+				}
+				// !(0 <= s <= 1) also catches NaN; ±Inf is out of range.
+				if !(p.Score >= 0 && p.Score <= 1) {
+					return fed.ClientOutcome{}, fmt.Errorf("coord: upload for user %d scores item %d at %v, outside [0,1]",
+						user, p.Item, p.Score)
 				}
 			}
 			preds = append(preds, chunk...)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -311,8 +312,8 @@ func TestReadUploadClassification(t *testing.T) {
 	codec := comm.CodecFor(false)
 	preds := []comm.Prediction{
 		{User: 7, Item: 3, Score: 0.5},
-		{User: 7, Item: 9, Score: -1.25},
-		{User: 7, Item: 12, Score: 2},
+		{User: 7, Item: 9, Score: 0},
+		{User: 7, Item: 12, Score: 1},
 		{User: 7, Item: 44, Score: 0.125},
 	}
 
@@ -361,12 +362,17 @@ func TestReadUploadClassification(t *testing.T) {
 	}
 
 	// Predictions the engine cannot absorb are protocol errors, even in a
-	// truncated stream: items outside [0, NumItems) and rows for another user.
+	// truncated stream: items outside [0, NumItems), rows for another user,
+	// and scores that are not finite or lie outside [0,1].
 	for name, bad := range map[string]comm.Prediction{
 		"item past the catalogue": {User: 7, Item: 1 << 20, Score: 0.5},
 		"item at NumItems":        {User: 7, Item: 60, Score: 0.5},
 		"negative item":           {User: 7, Item: -1, Score: 0.5},
 		"another user":            {User: 8, Item: 3, Score: 0.5},
+		"negative score":          {User: 7, Item: 3, Score: -0.25},
+		"score above 1":           {User: 7, Item: 3, Score: 1.5},
+		"NaN score":               {User: 7, Item: 3, Score: math.NaN()},
+		"+Inf score":              {User: 7, Item: 3, Score: math.Inf(1)},
 	} {
 		hostile := []comm.Prediction{preds[0], bad}
 		for _, end := range []bool{true, false} {
@@ -375,13 +381,74 @@ func TestReadUploadClassification(t *testing.T) {
 			}
 		}
 	}
+
+	// A body may not carry more predictions than the catalogue has items.
+	tooMany := oversizedUpload(7, 60)
+	for _, end := range []bool{true, false} {
+		if _, err = c.readUpload(bytes.NewReader(encodeUpload(1, 7, codec, tooMany, len(tooMany), end)), 1, 7); err == nil {
+			t.Fatalf("more than NumItems predictions (end frame %v) must be a protocol error", end)
+		}
+	}
 }
 
-// TestOutOfRangeItemUploadOverHTTP sends one well-formed upload carrying item
-// 1<<20 for a cohort user while a real participant serves the other half of
-// the users: the coordinator must reject it with MsgError, keep serving, and
-// close the round with that slot dropped, and the honest participant must
-// finish the run.
+// oversizedUpload returns numItems+1 otherwise valid predictions for user.
+func oversizedUpload(user, numItems int) []comm.Prediction {
+	preds := make([]comm.Prediction, numItems+1)
+	for i := range preds {
+		preds[i] = comm.Prediction{User: user, Item: i % numItems, Score: 0.5}
+	}
+	return preds
+}
+
+// FuzzReadUpload feeds arbitrary bytes to the upload ingress. Whatever the
+// body, readUpload must not panic, and any outcome it accepts must be one the
+// engine can absorb: the request's user everywhere, items in the catalogue,
+// finite scores in [0,1], and at most NumItems predictions.
+func FuzzReadUpload(f *testing.F) {
+	const user, numItems = 7, 60
+	preds := []comm.Prediction{
+		{User: user, Item: 3, Score: 0.5},
+		{User: user, Item: 9, Score: 0},
+		{User: user, Item: 12, Score: 1},
+		{User: user, Item: 44, Score: 0.125},
+	}
+	for _, codec := range []comm.Codec{comm.CodecFor(false), comm.CodecFor(true)} {
+		f.Add(encodeUpload(1, user, codec, preds, len(preds), true))
+		f.Add(encodeUpload(1, user, codec, preds, 2, false))
+		f.Add(encodeUpload(1, user, codec, preds, 0, false))
+		f.Add(encodeUpload(1, user, codec, preds, 2, true))
+		f.Add(encodeUpload(1, user, codec, []comm.Prediction{preds[0], {User: user, Item: 3, Score: math.NaN()}}, 2, true))
+		f.Add(encodeUpload(1, user, codec, oversizedUpload(user, numItems), numItems+1, false))
+	}
+	f.Add([]byte(nil))
+	f.Add([]byte("not a frame stream"))
+	c := &Coordinator{split: &data.Split{NumItems: numItems}}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		o, err := c.readUpload(bytes.NewReader(body), 1, user)
+		if err != nil {
+			return
+		}
+		if o.ID != user {
+			t.Fatalf("accepted outcome for user %d, request says %d", o.ID, user)
+		}
+		if len(o.Upload) > numItems {
+			t.Fatalf("accepted %d predictions, catalogue has %d items", len(o.Upload), numItems)
+		}
+		for _, p := range o.Upload {
+			if p.User != user || p.Item < 0 || p.Item >= numItems || !(p.Score >= 0 && p.Score <= 1) {
+				t.Fatalf("accepted prediction %+v", p)
+			}
+		}
+	})
+}
+
+// TestOutOfRangeItemUploadOverHTTP sends well-formed uploads that the engine
+// must not absorb — item 1<<20, a NaN score, a score above 1, and more
+// predictions than the catalogue has items — each for its own cohort user,
+// while a real participant serves the other half of the users: the
+// coordinator must reject each with MsgError, keep serving, and close the
+// round with those slots dropped, and the honest participant must finish the
+// run.
 func TestOutOfRangeItemUploadOverHTTP(t *testing.T) {
 	cfg := testConfig(models.KindLightGCN, 1)
 	cfg.Rounds = 1
@@ -417,28 +484,42 @@ func TestOutOfRangeItemUploadOverHTTP(t *testing.T) {
 		h, runErr = c.Run(ctx)
 	}()
 
-	// ClientFraction 1.0 puts every user in round 0's cohort.
-	user := half
-	body := encodeUpload(0, user, comm.CodecFor(cfg.QuantizeScores),
-		[]comm.Prediction{{User: user, Item: 1 << 20, Score: 0.9}}, 1, true)
-	resp, err := srv.Client().Post(
-		fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=%d", srv.URL, hostile.Token(), user),
-		"application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, payload, err := comm.ReadFrame(resp.Body)
-	resp.Body.Close()
-	if err != nil || mt != comm.MsgError {
-		t.Fatalf("out-of-range upload reply: %v %q err=%v, want MsgError", mt, payload, err)
+	// ClientFraction 1.0 puts every user in round 0's cohort. Each hostile
+	// body goes to its own cohort user.
+	codec := comm.CodecFor(cfg.QuantizeScores)
+	for i, bad := range []struct {
+		name  string
+		preds []comm.Prediction
+	}{
+		{"out-of-range item", []comm.Prediction{{Item: 1 << 20, Score: 0.9}}},
+		{"NaN score", []comm.Prediction{{Item: 1, Score: math.NaN()}}},
+		{"score above 1", []comm.Prediction{{Item: 1, Score: 3}}},
+		{"more than NumItems predictions", oversizedUpload(0, sp.NumItems)},
+	} {
+		user := half + i
+		for j := range bad.preds {
+			bad.preds[j].User = user
+		}
+		body := encodeUpload(0, user, codec, bad.preds, len(bad.preds), true)
+		resp, err := srv.Client().Post(
+			fmt.Sprintf("%s/v1/upload?token=%d&round=0&user=%d", srv.URL, hostile.Token(), user),
+			"application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt, payload, err := comm.ReadFrame(resp.Body)
+		resp.Body.Close()
+		if err != nil || mt != comm.MsgError {
+			t.Fatalf("%s upload reply: %v %q err=%v, want MsgError", bad.name, mt, payload, err)
+		}
 	}
 
 	<-done
 	if runErr != nil || h == nil || len(h.Rounds) != 1 {
-		t.Fatalf("run did not complete after the out-of-range upload: %+v, %v", h, runErr)
+		t.Fatalf("run did not complete after the hostile uploads: %+v, %v", h, runErr)
 	}
 	// The hostile session never uploads anything valid: its whole range,
-	// the rejected slot included, closes as dropped; the honest half trains.
+	// the rejected slots included, closes as dropped; the honest half trains.
 	if rs := h.Rounds[0]; rs.Participants != sp.NumUsers || rs.Dropped != sp.NumUsers-half {
 		t.Fatalf("round %+v: want %d participants with the %d hostile-range slots dropped",
 			rs, sp.NumUsers, sp.NumUsers-half)

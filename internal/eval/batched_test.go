@@ -23,9 +23,6 @@ func TestBatchedEngineInvariance(t *testing.T) {
 	sp := d.Split(rng.New(2), 0.2)
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF} {
 		m := trainedModel(t, kind, sp)
-		if _, ok := m.(models.MultiBlockScorer); !ok {
-			t.Fatalf("%s does not implement MultiBlockScorer", kind)
-		}
 
 		e := NewEvaluator(sp)
 		e.SingleUser = true

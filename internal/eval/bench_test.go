@@ -14,13 +14,14 @@ import (
 //
 //   - batched: the production multi-user logit engine;
 //   - single-user: one fused block-score + bounded-heap selection per user;
-//   - per-item: block scoring hidden, so each user's full score vector is
-//     built item by item and selected with a bounded heap;
-//   - sort: the full-sort oracle (block-scored full vector, stable sort).
+//   - per-item: the block contract hidden, so each user's full ScoreItems
+//     vector is selected with a bounded heap (the path of ScorerFunc
+//     adapters);
+//   - sort: the full-sort oracle (full ScoreItems vector, stable sort).
 //
-// sort against single-user is what fused top-K selection buys, per-item
-// against single-user what block scoring buys, and single-user against
-// batched what user batching buys. Every side must return the same Result.
+// sort and per-item against single-user are what chunk-streamed top-K
+// selection buys, and single-user against batched what user batching buys.
+// Every side must return the same Result.
 func BenchmarkEvalRanking(b *testing.B) {
 	sp := data.Generate(data.LargeScaleSmall, 1).Split(rng.New(2), 0.2)
 	m := trainedModel(b, models.KindLightGCN, sp)

@@ -8,18 +8,15 @@ import (
 	"ptffedrec/internal/rng"
 )
 
-// scalarOnly hides a model's BlockScorer so Ranking is forced through the
-// per-item scoring path, while keeping the warm and buffer-reuse extensions.
+// scalarOnly hides a model's block contract so Ranking treats it as a plain
+// Scorer — a ScoreItems vector per user, selected with metrics.TopKInto —
+// while keeping the warm extension.
 type scalarOnly struct {
 	m models.Recommender
 }
 
 func (s scalarOnly) ScoreItems(u int, items []int) []float64 {
 	return s.m.ScoreItems(u, items)
-}
-
-func (s scalarOnly) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	return s.m.(models.InplaceScorer).ScoreItemsInto(dst, u, items)
 }
 
 func (s scalarOnly) WarmScoring() {
@@ -29,16 +26,13 @@ func (s scalarOnly) WarmScoring() {
 }
 
 // TestRankingBatchedMatchesScalar pins the engine-level guarantee: Results
-// are bitwise-identical whether Ranking scores through ScoreBlockInto or the
-// per-item path, for every model kind and worker count.
+// are bitwise-identical whether Ranking drives the block contract or ranks a
+// plain Scorer's ScoreItems vector, for every model kind and worker count.
 func TestRankingBatchedMatchesScalar(t *testing.T) {
 	d := data.Generate(data.Tiny, 11)
 	sp := d.Split(rng.New(2), 0.2)
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF} {
 		m := trainedModel(t, kind, sp)
-		if _, ok := m.(models.BlockScorer); !ok {
-			t.Fatalf("%s does not implement BlockScorer", kind)
-		}
 		ref := RankingWorkers(scalarOnly{m}, sp, 20, 1)
 		if ref.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)

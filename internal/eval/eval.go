@@ -11,25 +11,24 @@
 // Three engines remove the remaining per-round costs. The candidate cache: an
 // Evaluator builds each user's candidate list from the immutable train mask
 // once and reuses it every round, so the per-round loop never touches
-// Split.InTrain. The single-user selection engine: scorers that implement
-// models.BlockScorer are driven chunk-wise through models.ScoreBlockTopK, so
-// a user's scores stream through a bounded-heap top-k selection instead of
-// materialising a NumItems-length vector and stable-sorting an index
-// permutation. The multi-user batched engine: scorers that implement
-// models.MultiBlockScorer score evalUsersBatch users per kernel call in
-// logit domain — one gather-GEMM per (user batch, item window), each user's
-// cached candidate list walked against the window, raw logits streamed into
-// metrics.LogitTopKSelector under its tie-safe contract — so the
-// item-embedding rows are loaded once per batch instead of once per user and
-// the sigmoid is paid only for candidates that reach a heap, not once per
-// (user, candidate). All paths are bitwise-identical to the naive
-// score-everything-then-sort evaluation, so Results never depend on the path
-// taken.
+// Split.InTrain. The multi-user batched engine: a scorer that is a
+// models.BlockScorer (every model) scores evalUsersBatch users per kernel
+// call in logit domain — one ScoreUsersBlockLogitsInto gather-GEMM per (user
+// batch, item window), each user's cached candidate list walked against the
+// window, raw logits streamed into metrics.LogitTopKSelector under its
+// tie-safe contract — so the item-embedding rows are loaded once per batch
+// instead of once per user and the sigmoid is paid only for candidates that
+// reach a heap. The single-user engine: streaming and SingleUser evaluators
+// drive a block scorer chunk-wise through models.ScoreBlockTopK, so a user's
+// scores stream through a bounded-heap top-k selection instead of
+// materialising a NumItems-length vector. Any other models.Scorer — the
+// ScorerFunc adapters of client evaluation and the baselines — is ranked from
+// its ScoreItems vector with metrics.TopKInto. All paths are
+// bitwise-identical to the naive score-everything-then-sort evaluation, so
+// Results never depend on the path taken.
 //
-// The package consumes the models scoring interface family directly
-// (models.Scorer and its InplaceScorer / BlockScorer / MultiBlockScorer
-// refinements, models.Warmer for lazily built shared state); capability
-// detection happens once per Rank call, not per user.
+// Whether a scorer is a block scorer is resolved once per Rank call, not per
+// user; models.Warmer warms lazily built shared state before workers fan out.
 package eval
 
 import (
@@ -55,35 +54,16 @@ var evalUsersBatch = 16
 // small catalogues.
 var evalScoreChunk = 1024
 
-// caps is the one capability-detecting adapter between the evaluator and the
-// models scoring interface family: every optional refinement is resolved once
-// per Rank call, and scoreItems dispatches on the resolved fields instead of
-// re-sniffing interfaces per user.
+// caps is the evaluator's view of a scorer, resolved once per Rank call:
+// block is non-nil when the scorer implements the block contract.
 type caps struct {
 	scorer models.Scorer
-	into   models.InplaceScorer    // nil when unsupported
-	block  models.BlockScorer      // nil when unsupported
-	multi  models.MultiBlockScorer // nil when unsupported
+	block  models.BlockScorer
 }
 
 func detectCaps(s models.Scorer) caps {
-	c := caps{scorer: s}
-	c.into, _ = s.(models.InplaceScorer)
-	c.block, _ = s.(models.BlockScorer)
-	c.multi, _ = s.(models.MultiBlockScorer)
-	return c
-}
-
-// scoreItems scores a scorer without block scoring (block scorers take the
-// fused path) — buffer-reusing per-item, then plain ScoreItems. buf is owned
-// by the calling goroutine and carried across users.
-func (c *caps) scoreItems(buf *[]float64, u int, items []int) []float64 {
-	if c.into != nil {
-		out := c.into.ScoreItemsInto(*buf, u, items)
-		*buf = out
-		return out
-	}
-	return c.scorer.ScoreItems(u, items)
+	bs, _ := s.(models.BlockScorer)
+	return caps{scorer: s, block: bs}
 }
 
 // Result holds user-averaged ranking metrics.
@@ -187,13 +167,12 @@ func (e *Evaluator) CacheBytes() int64 {
 }
 
 // scratch is one worker's reusable state for its whole share of users on the
-// single-user paths: the widened candidate list, the score buffer (non-fused
-// paths only), the selection output, the ranked item list, the relevance set,
-// and the fused selection engine's scratch. Nothing here is allocated per
-// user.
+// single-user paths: the widened candidate list, the selection output, the
+// ranked item list, the relevance set, and the fused selection engine's
+// scratch. Nothing here is allocated per user (a non-block scorer allocates
+// its own ScoreItems vector).
 type scratch struct {
 	cand     []int
-	scores   []float64
 	top      []int
 	ranked   []int
 	relevant map[int]bool
@@ -262,11 +241,10 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 	}
 	workers = par.Workers(workers)
 	c := detectCaps(s)
-	// The batched multi-user engine needs the multi-user logit contract and
-	// the candidate cache (streaming evaluators rebuild lists per user, which
-	// only the single-user loop does); SingleUser forces the single-user
-	// engine.
-	batched := c.multi != nil && e.cache != nil && !e.SingleUser
+	// The batched multi-user engine needs a block scorer and the candidate
+	// cache (streaming evaluators rebuild lists per user, which only the
+	// single-user loop does); SingleUser forces the single-user engine.
+	batched := c.block != nil && e.cache != nil && !e.SingleUser
 	if workers > 1 {
 		if w, ok := s.(models.Warmer); ok {
 			w.WarmScoring()
@@ -285,7 +263,7 @@ func (e *Evaluator) Rank(s models.Scorer, k, workers int) Result {
 				if be > hi {
 					be = hi
 				}
-				e.evalUserBatch(c.multi, sc, b, be, k, recalls, ndcgs)
+				e.evalUserBatch(c.block, sc, b, be, k, recalls, ndcgs)
 			}
 		})
 	} else {
@@ -328,8 +306,7 @@ func (e *Evaluator) evalUser(c *caps, sc *scratch, i, k int) (recall, ndcg float
 	} else {
 		// Partial selection over a materialised score vector (scorers without
 		// block scoring, e.g. per-client adapters).
-		scores := c.scoreItems(&sc.scores, u, cand)
-		sc.top = metrics.TopKInto(sc.top, scores, k)
+		sc.top = metrics.TopKInto(sc.top, c.scorer.ScoreItems(u, cand), k)
 		top = sc.top
 	}
 	ranked := sc.ranked[:0]
@@ -349,14 +326,14 @@ func (e *Evaluator) evalUser(c *caps, sc *scratch, i, k int) (recall, ndcg float
 //
 // Bitwise equivalence with the single-user engine, piece by piece: the logit
 // windows match ScoreBlockLogitsInto's values for any window boundary
-// (per-element independence, the MultiBlockScorer contract), so scoring the
+// (per-element independence, the BlockScorer contract), so scoring the
 // whole universe and reading only candidate positions yields exactly the
 // logits of scoring the candidate list directly; candidate lists are
 // ascending in item id, so pushing item ids preserves the single-user path's
 // (score desc, position asc) selection order; and LogitTopKSelector resolves
 // σ-collapsed ties exactly as the probability-domain selector does. Only the
 // sigmoid count differs — paid per heap insertion here, per candidate there.
-func (e *Evaluator) evalUserBatch(mbs models.MultiBlockScorer, sc *batchScratch, b, be, k int, recalls, ndcgs []float64) {
+func (e *Evaluator) evalUserBatch(bs models.BlockScorer, sc *batchScratch, b, be, k int, recalls, ndcgs []float64) {
 	n := be - b
 	users := e.users[b:be]
 	for i := 0; i < n; i++ {
@@ -373,7 +350,7 @@ func (e *Evaluator) evalUserBatch(mbs models.MultiBlockScorer, sc *batchScratch,
 			hi = e.sp.NumItems
 		}
 		m := sc.scoreMat(n, hi-lo)
-		mbs.ScoreUsersBlockLogitsInto(m, users, e.ident[lo:hi])
+		bs.ScoreUsersBlockLogitsInto(m, users, e.ident[lo:hi])
 		for i := 0; i < n; i++ {
 			cand := e.cache.List(b + i)
 			row := m.Row(i)

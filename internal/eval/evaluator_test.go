@@ -12,24 +12,16 @@ import (
 )
 
 // sortRank is the full-sort reference ranking every engine is pinned
-// against: each evaluated user's candidates scored into one full vector
-// (block scoring when the scorer has it, else per item), ranked by
-// metrics.TopK's stable sort of an index permutation, and reduced in user
-// order exactly as Rank reduces.
+// against: each evaluated user's candidates scored into one full ScoreItems
+// vector, ranked by metrics.TopK's stable sort of an index permutation, and
+// reduced in user order exactly as Rank reduces.
 func sortRank(e *Evaluator, s models.Scorer, k int) Result {
 	var agg metrics.RankEval
 	relevant := make(map[int]bool)
 	for _, u := range e.users {
 		cand := candset.AppendComplementSorted([]int(nil), e.sp.NumItems, e.sp.Train[u])
-		var scores []float64
-		if bs, ok := s.(models.BlockScorer); ok {
-			scores = make([]float64, len(cand))
-			bs.ScoreBlockInto(scores, u, cand)
-		} else {
-			scores = s.ScoreItems(u, cand)
-		}
 		var ranked []int
-		for _, idx := range metrics.TopK(scores, k) {
+		for _, idx := range metrics.TopK(s.ScoreItems(u, cand), k) {
 			ranked = append(ranked, cand[idx])
 		}
 		agg.AddUser(e.userMetrics(ranked, relevant, u, k))
@@ -52,10 +44,6 @@ func TestEvaluatorSelectionInvariance(t *testing.T) {
 		if ref.Users == 0 {
 			t.Fatalf("%s: no users evaluated", kind)
 		}
-		// The oracle's per-item and block scoring must agree too.
-		if got := sortRank(NewEvaluator(sp), scalarOnly{m}, 20); got != ref {
-			t.Fatalf("%s: per-item sort %+v != block sort %+v", kind, got, ref)
-		}
 
 		for _, workers := range []int{1, 2, 8} {
 			if got := NewEvaluator(sp).Rank(m, 20, workers); got != ref {
@@ -66,7 +54,7 @@ func TestEvaluatorSelectionInvariance(t *testing.T) {
 			if got := fused.Rank(m, 20, workers); got != ref {
 				t.Fatalf("%s workers=%d: fused select %+v != sort %+v", kind, workers, got, ref)
 			}
-			// Hiding BlockScorer forces the heap-over-full-vector path.
+			// Hiding the block contract forces the heap-over-full-vector path.
 			if got := NewEvaluator(sp).Rank(scalarOnly{m}, 20, workers); got != ref {
 				t.Fatalf("%s workers=%d: heap select %+v != sort %+v", kind, workers, got, ref)
 			}

@@ -5,11 +5,14 @@ import (
 
 	"ptffedrec/internal/graph"
 	"ptffedrec/internal/models"
+	"ptffedrec/internal/tensor"
 )
 
-// scalarModel hides a server model's BlockScorer so every dispersal and eval
-// score goes through the per-item path, while forwarding the extensions the
-// round engine relies on (warm-up, in-place scoring).
+// scalarModel wraps a server model so every block-contract call is answered
+// one (user, item) pair at a time through the wrapped model's single-user
+// logit kernel, while forwarding the extensions the round engine relies on
+// (warm-up). A history run through it pins that batching never changes
+// results.
 type scalarModel struct {
 	m models.Recommender
 }
@@ -19,10 +22,24 @@ func (s *scalarModel) NumParams() int                       { return s.m.NumPara
 func (s *scalarModel) TrainBatch(b []models.Sample) float64 { return s.m.TrainBatch(b) }
 func (s *scalarModel) Score(u, v int) float64               { return s.m.Score(u, v) }
 func (s *scalarModel) ScoreItems(u int, items []int) []float64 {
-	return s.m.ScoreItems(u, items)
+	dst := make([]float64, len(items))
+	models.ScoreProbsInto(s, dst, u, items)
+	return dst
 }
-func (s *scalarModel) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	return s.m.(models.InplaceScorer).ScoreItemsInto(dst, u, items)
+func (s *scalarModel) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
+	for i := range items {
+		s.m.ScoreBlockLogitsInto(dst[i:i+1], u, items[i:i+1])
+	}
+}
+func (s *scalarModel) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
+	for r, u := range users {
+		s.ScoreBlockLogitsInto(dst.Row(r), u, items)
+	}
+}
+func (s *scalarModel) ScorePairsInto(dst []float64, users []int, items []int) {
+	for p, u := range users {
+		models.ScoreProbsInto(s.m, dst[p:p+1], u, items[p:p+1])
+	}
 }
 func (s *scalarModel) WarmScoring() {
 	if w, ok := s.m.(models.Warmer); ok {
@@ -39,8 +56,8 @@ func (s *scalarGraphModel) SetGraph(g *graph.Bipartite) {
 	s.m.(models.GraphRecommender).SetGraph(g)
 }
 
-// forceScalar replaces the trainer's server model with a wrapper that cannot
-// block-score.
+// forceScalar replaces the trainer's server model with a wrapper that scores
+// one (user, item) pair per kernel call.
 func forceScalar(tr *Trainer) {
 	m := tr.server.model
 	if _, ok := m.(models.GraphRecommender); ok {
@@ -53,7 +70,7 @@ func forceScalar(tr *Trainer) {
 // TestHistoryInvariantBatchedVsScalar pins the batched scoring engine's
 // protocol-level contract: dispersal plans (and through them the entire
 // training trace) and eval metrics are bitwise-identical whether the server
-// scores through ScoreBlockInto or the per-item path, for every server model
+// scores whole blocks or one pair per kernel call, for every server model
 // kind and several worker counts.
 func TestHistoryInvariantBatchedVsScalar(t *testing.T) {
 	kinds := []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN, models.KindNGCF}

@@ -5,7 +5,7 @@ package fed
 // shared by the scalar and batched paths, and the multi-user batched path
 // itself, which groups one worker's clients into score batches and drives
 // the hard-half top-K and the final re-scoring through multi-user GEMM
-// kernels (models.MultiBlockScorer).
+// kernels (models.BlockScorer).
 //
 // Determinism contract: the batched engine is bitwise-identical to the
 // per-client scalar path (Server.disperse) for every batch grouping, worker
@@ -24,7 +24,6 @@ import (
 	"ptffedrec/internal/candset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/metrics"
-	"ptffedrec/internal/models"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -383,7 +382,7 @@ func (sc *disperseBatchScratch) scoreMat(rows, cols int) *tensor.Matrix {
 //
 // Each slot's preds is left ready for the wire: bitwise-identical to what
 // Server.disperse produces for the same client and stream.
-func (sv *Server) disperseBatch(mbs models.MultiBlockScorer, slots []disperseSlot, plan *dispersalPlan, sc *disperseBatchScratch) {
+func (sv *Server) disperseBatch(slots []disperseSlot, plan *dispersalPlan, sc *disperseBatchScratch) {
 	nConf, nHard, confRandom, hardRandom := disperseArms(sv.cfg)
 
 	// The random arms draw from a materialised eligible list; the
@@ -485,7 +484,7 @@ func (sv *Server) disperseBatch(mbs models.MultiBlockScorer, slots []disperseSlo
 					hi = sv.numItems
 				}
 				m := sc.scoreMat(len(rows), hi-lo)
-				mbs.ScoreUsersBlockLogitsInto(m, active, sv.ident[lo:hi])
+				sv.model.ScoreUsersBlockLogitsInto(m, active, sv.ident[lo:hi])
 				for row, si := range rows {
 					pushEligibleWindow(&sc.sels[row], slots[si].tgt.excl, m.Row(row), lo, hi)
 				}
@@ -525,7 +524,7 @@ func (sv *Server) disperseBatch(mbs models.MultiBlockScorer, slots []disperseSlo
 		sc.scores = make([]float64, len(pairItems))
 	}
 	scores := sc.scores[:len(pairItems)]
-	mbs.ScorePairsInto(scores, pairUsers, pairItems)
+	sv.model.ScorePairsInto(scores, pairUsers, pairItems)
 	off := 0
 	for si := range slots {
 		s := &slots[si]

@@ -57,7 +57,6 @@ func BenchmarkDisperse(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		tr := benchDisperseTrainer(b)
 		plan := tr.server.buildDispersalPlan()
-		mbs := tr.server.model.(models.MultiBlockScorer)
 		sc := newDisperseBatchScratch()
 		numUsers := tr.split.NumUsers
 		b.ResetTimer()
@@ -72,7 +71,7 @@ func BenchmarkDisperse(b *testing.B) {
 					slots[i-lo].tgt, sc.excls[i-lo] = tr.server.disperseTargetInto(i, sc.excls[i-lo])
 					slots[i-lo].ds = nil
 				}
-				tr.server.disperseBatch(mbs, slots, plan, sc)
+				tr.server.disperseBatch(slots, plan, sc)
 			}
 		}
 	})

@@ -85,10 +85,10 @@ func TestDisperseRandomArmsFillAlpha(t *testing.T) {
 	}
 }
 
-// TestDisperseFusedMatchesScalar pins the dispersal selection engine's
-// contract at the unit level: the hard half selected through the fused
-// chunk-streaming ScoreBlockTopK must equal the per-item
-// score-everything-then-select path exactly, predictions included.
+// TestDisperseFusedMatchesScalar pins the scalar dispersal path at the unit
+// level: the hard half selected through the chunk-streaming ScoreBlockTopK
+// and the final re-scoring must be identical, predictions included, whether
+// the model scores whole blocks or one (user, item) pair per kernel call.
 func TestDisperseFusedMatchesScalar(t *testing.T) {
 	sp := tinySplit(t)
 	for _, kind := range []models.Kind{models.KindMF, models.KindNeuMF, models.KindLightGCN} {

@@ -198,11 +198,10 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 	dispersals := make([]Dispersal, len(responders))
 	if len(responders) > 0 {
 		plan := e.server.buildDispersalPlan()
-		// The batched engine needs the multi-user scoring contract; the
-		// scalar per-client path is the fallback (and, via DisperseScalar,
-		// the timing baseline). Both produce bitwise-identical dispersals.
-		mbs, batched := e.server.model.(models.MultiBlockScorer)
-		batched = batched && !e.cfg.DisperseScalar && e.cfg.Alpha > 0
+		// The batched engine is the production path; DisperseScalar selects
+		// the per-client scalar path as the timing baseline. Both produce
+		// bitwise-identical dispersals.
+		batched := !e.cfg.DisperseScalar && e.cfg.Alpha > 0
 		// Per-client streams are only consumed by the random ablation arms,
 		// and deriving one costs a full generator seeding — so the
 		// deterministic conf+hard arm skips them entirely, and the random
@@ -236,7 +235,7 @@ func (e *RoundEngine) CloseRound(round int, outcomes []ClientOutcome, overlap fu
 						slots[i-b].tgt, sc.excls[i-b] = e.server.disperseTargetInto(id, sc.excls[i-b])
 						slots[i-b].ds = clientStream(id)
 					}
-					e.server.disperseBatch(mbs, slots, plan, sc)
+					e.server.disperseBatch(slots, plan, sc)
 					for i := b; i < be; i++ {
 						payload, preds := wireRoundTrip(slots[i-b].preds, e.cfg.QuantizeScores)
 						cDispersals[i] = Dispersal{ID: cResponders[i].ID, Preds: preds, Payload: payload}

@@ -9,7 +9,6 @@ import (
 	"ptffedrec/internal/bitset"
 	"ptffedrec/internal/comm"
 	"ptffedrec/internal/graph"
-	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/models"
 	"ptffedrec/internal/par"
 	"ptffedrec/internal/rng"
@@ -746,10 +745,9 @@ func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPl
 	// selection with a bounded heap: the conf half can overlap the score
 	// ranking by at most len(items), so the top (nHard + len(items)) prefix
 	// is guaranteed to contain nHard non-chosen items when enough exist.
-	// Block-scoring models run the fused engine — eligible scores stream
-	// chunk-wise into the selection, never materialising an |eligible|-length
-	// vector — which the BlockScorer contract keeps bitwise-identical to
-	// score-everything-then-sort.
+	// Eligible scores stream chunk-wise into the selection (ScoreBlockTopK),
+	// never materialising an |eligible|-length vector, which the BlockScorer
+	// contract keeps bitwise-identical to score-everything-then-sort.
 	if nHard > 0 {
 		if hardRandom {
 			k := nHard * 3
@@ -760,61 +758,26 @@ func (sv *Server) disperse(tgt disperseTarget, ds *rng.Stream, plan *dispersalPl
 			items, unfilled = pickItems(items, rng.SampleSlice(ds, eligible, k), nHard)
 			items = fillItems(items, eligible, unfilled)
 		} else {
-			kSel := nHard + len(items)
-			if bs, ok := sv.model.(models.BlockScorer); ok {
-				top := models.ScoreBlockTopK(bs, &scratch.topk, tgt.id, eligible, kSel)
-				buf := scratch.top[:0]
-				for _, idx := range top {
-					buf = append(buf, eligible[idx])
-				}
-				scratch.top = buf
-			} else {
-				scratch.scores = sv.scoreItems(scratch.scores, tgt.id, eligible)
-				scratch.top = topKByScore(scratch.top, eligible, scratch.scores, kSel)
+			top := models.ScoreBlockTopK(sv.model, &scratch.topk, tgt.id, eligible, nHard+len(items))
+			buf := scratch.top[:0]
+			for _, idx := range top {
+				buf = append(buf, eligible[idx])
 			}
+			scratch.top = buf
 			items, _ = pickItems(items, scratch.top, nHard)
 		}
 	}
 
-	// scratch.scores is dead once topKByScore has consumed it, so the final
-	// scoring pass reuses it; the Prediction structs copy the values out.
-	scratch.scores = sv.scoreItems(scratch.scores, tgt.id, items)
+	// The final scoring pass reuses the scratch buffer; the Prediction structs
+	// copy the values out.
+	if cap(scratch.scores) < len(items) {
+		scratch.scores = make([]float64, len(items))
+	}
+	scratch.scores = scratch.scores[:len(items)]
+	models.ScoreProbsInto(sv.model, scratch.scores, tgt.id, items)
 	preds := make([]comm.Prediction, len(items))
 	for i, v := range items {
 		preds[i] = comm.Prediction{User: tgt.id, Item: v, Score: scratch.scores[i]}
 	}
 	return preds
-}
-
-// scoreItems scores one user against items through the strongest path the
-// model supports: the batched block-scoring engine (bitwise-identical to the
-// per-item path), then buffer-reusing per-item scoring, then ScoreItems.
-func (sv *Server) scoreItems(dst []float64, user int, items []int) []float64 {
-	if bs, ok := sv.model.(models.BlockScorer); ok {
-		if cap(dst) < len(items) {
-			dst = make([]float64, len(items))
-		} else {
-			dst = dst[:len(items)]
-		}
-		bs.ScoreBlockInto(dst, user, items)
-		return dst
-	}
-	if is, ok := sv.model.(models.InplaceScorer); ok {
-		return is.ScoreItemsInto(dst, user, items)
-	}
-	return sv.model.ScoreItems(user, items)
-}
-
-// topKByScore returns the k highest-scoring items ordered by
-// (score desc, item asc) — the exact order a stable descending sort of an
-// ascending item list produces. items must be in ascending id order (the
-// eligible set always is), which makes (score desc, index asc) — the shared
-// selection kernel's order — coincide with (score desc, item asc). dst is
-// reused when it has capacity.
-func topKByScore(dst, items []int, scores []float64, k int) []int {
-	dst = metrics.TopKInto(dst, scores, k)
-	for i, idx := range dst {
-		dst[i] = items[idx]
-	}
-	return dst
 }

@@ -75,22 +75,39 @@ func raggedLists(numItems int) [][]int {
 	return lists
 }
 
-// TestScoreBlockMatchesScalar pins the batched scoring engine's contract for
-// every model kind: ScoreBlockInto must be bitwise-identical to the per-item
-// ScoreItemsInto path for any candidate list.
+// refScores is the per-item reference the block-scoring pins compare
+// against: the per-item Score for MF, NGCF and LightGCN, and the training
+// forward for NeuMF, whose Score itself goes through the block path.
+func refScores(m Recommender, u int, items []int) []float64 {
+	if nm, ok := m.(*NeuMF); ok {
+		if len(items) == 0 {
+			return nil
+		}
+		batch := make([]Sample, len(items))
+		for i, v := range items {
+			batch[i] = Sample{User: u, Item: v}
+		}
+		_, _, _, preds := nm.forward(batch)
+		return preds
+	}
+	out := make([]float64, len(items))
+	for i, v := range items {
+		out[i] = m.Score(u, v)
+	}
+	return out
+}
+
+// TestScoreBlockMatchesScalar pins the block scoring engine's contract for
+// every model kind: ScoreProbsInto must be bitwise-identical to the per-item
+// reference for any candidate list.
 func TestScoreBlockMatchesScalar(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := blockModel(t, kind, false)
-		bs, ok := m.(BlockScorer)
-		if !ok {
-			t.Fatalf("%s does not implement BlockScorer", kind)
-		}
-		is := m.(InplaceScorer)
 		for _, items := range raggedLists(blockConfig().NumItems) {
 			for u := 0; u < blockConfig().NumUsers; u++ {
-				want := is.ScoreItemsInto(nil, u, items)
+				want := refScores(m, u, items)
 				got := make([]float64, len(items))
-				bs.ScoreBlockInto(got, u, items)
+				ScoreProbsInto(m, got, u, items)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s: u=%d |items|=%d: block score[%d]=%v, scalar=%v",
@@ -103,16 +120,15 @@ func TestScoreBlockMatchesScalar(t *testing.T) {
 }
 
 // TestScoreBlockLazyFallback pins the lazy-table path: client-style models
-// (lazy embedding rows) must produce identical scores through ScoreBlockInto.
+// (lazy embedding rows) must produce the per-item scores through the block
+// path.
 func TestScoreBlockLazyFallback(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF} {
 		m := blockModel(t, kind, true)
-		bs := m.(BlockScorer)
-		is := m.(InplaceScorer)
 		items := raggedLists(blockConfig().NumItems)[6]
-		want := is.ScoreItemsInto(nil, 0, items)
+		want := refScores(m, 0, items)
 		got := make([]float64, len(items))
-		bs.ScoreBlockInto(got, 0, items)
+		ScoreProbsInto(m, got, 0, items)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s lazy: block score[%d]=%v, scalar=%v", kind, i, got[i], want[i])
@@ -129,11 +145,11 @@ func TestScoreBlockRejectsBadDst(t *testing.T) {
 			t.Fatal("short dst accepted")
 		}
 	}()
-	m.(BlockScorer).ScoreBlockInto(make([]float64, 2), 0, []int{0, 1, 2})
+	m.ScoreBlockLogitsInto(make([]float64, 2), 0, []int{0, 1, 2})
 }
 
-// BenchmarkScoring compares the scalar per-item path with the batched
-// BlockScorer engine on a full-catalogue candidate list, per model kind.
+// BenchmarkScoring compares per-item Score calls with the block engine on a
+// full-catalogue candidate list, per model kind.
 func BenchmarkScoring(b *testing.B) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := blockModel(b, kind, false)
@@ -145,23 +161,26 @@ func BenchmarkScoring(b *testing.B) {
 			items[i] = i
 		}
 		dst := make([]float64, len(items))
-		b.Run(string(kind)+"/scalar", func(b *testing.B) {
+		b.Run(string(kind)+"/per-item", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dst = m.(InplaceScorer).ScoreItemsInto(dst[:0], i%blockConfig().NumUsers, items)
+				u := i % blockConfig().NumUsers
+				for j, v := range items {
+					dst[j] = m.Score(u, v)
+				}
 			}
 		})
 		b.Run(string(kind)+"/block", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.(BlockScorer).ScoreBlockInto(dst[:len(items)], i%blockConfig().NumUsers, items)
+				ScoreProbsInto(m, dst, i%blockConfig().NumUsers, items)
 			}
 		})
 	}
 }
 
 // FuzzScoreBlockRagged fuzzes ragged candidate-list shapes (length, item
-// skew, user) against the scalar path for the two model families with
-// distinct batched implementations: MF's fused GEMV and NeuMF's chunked MLP
-// forward.
+// skew, user) against the per-item reference for the two model families
+// with distinct batched implementations: MF's fused GEMV and NeuMF's chunked
+// MLP forward.
 func FuzzScoreBlockRagged(f *testing.F) {
 	f.Add(uint64(1), uint(3), uint(0))
 	f.Add(uint64(42), uint(scoreChunkSize), uint(1))
@@ -181,9 +200,9 @@ func FuzzScoreBlockRagged(f *testing.F) {
 		}
 		user := int(u % uint(numUsers))
 		for _, m := range []Recommender{mf, neumf} {
-			want := m.(InplaceScorer).ScoreItemsInto(nil, user, items)
+			want := refScores(m, user, items)
 			got := make([]float64, len(items))
-			m.(BlockScorer).ScoreBlockInto(got, user, items)
+			ScoreProbsInto(m, got, user, items)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: score[%d]=%v, scalar=%v", m.Name(), i, got[i], want[i])

@@ -93,29 +93,17 @@ func (m *LightGCN) WarmScoring() { m.propagate() }
 
 func (m *LightGCN) itemNode(v int) int { return m.cfg.NumUsers + v }
 
-// Score implements Recommender.
+// Score implements Recommender per item; it is the reference the block
+// kernels are tested against.
 func (m *LightGCN) Score(u, v int) float64 {
 	f := m.propagate()
 	return nn.Sigmoid(dot(f.Row(u), f.Row(m.itemNode(v))))
 }
 
 // ScoreItems implements Recommender.
-func (m *LightGCN) ScoreItems(u int, items []int) []float64 {
-	return m.ScoreItemsInto(nil, u, items)
-}
+func (m *LightGCN) ScoreItems(u int, items []int) []float64 { return scoreItems(m, u, items) }
 
-// ScoreItemsInto implements InplaceScorer.
-func (m *LightGCN) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	f := m.propagate()
-	urow := f.Row(u)
-	out := scoreBuf(dst, len(items))
-	for _, v := range items {
-		out = append(out, nn.Sigmoid(dot(urow, f.Row(m.itemNode(v)))))
-	}
-	return out
-}
-
-// ScoreBlockLogitsInto implements BlockScorer's logit-domain half: one fused
+// ScoreBlockLogitsInto implements BlockScorer for one user: one fused
 // row-gather GEMV against the propagated embedding matrix produces the whole
 // candidate list's raw dot products (sharded over the TrainWorkers pool for
 // very long lists).
@@ -125,14 +113,7 @@ func (m *LightGCN) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
 	tensor.GatherMulVecIntoPar(dst, f, items, m.cfg.NumUsers, f.Row(u), m.workers)
 }
 
-// ScoreBlockInto implements BlockScorer: the logit kernel with the sigmoid
-// applied at this call boundary, per the contract.
-func (m *LightGCN) ScoreBlockInto(dst []float64, u int, items []int) {
-	m.ScoreBlockLogitsInto(dst, u, items)
-	sigmoidVec(dst)
-}
-
-// ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
+// ScoreUsersBlockLogitsInto implements BlockScorer for a user batch:
 // one double-gathered GEMM against the propagated embedding matrix produces
 // the whole user batch's raw dot products.
 func (m *LightGCN) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
@@ -141,14 +122,7 @@ func (m *LightGCN) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, it
 	tensor.GatherMulMatInto(dst, f, users, 0, f, items, m.cfg.NumUsers)
 }
 
-// ScoreUsersBlockInto implements MultiBlockScorer: the logit kernel with the
-// sigmoid applied at this call boundary, per the contract.
-func (m *LightGCN) ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int) {
-	m.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidData(dst)
-}
-
-// ScorePairsInto implements MultiBlockScorer's ragged half: one gathered
+// ScorePairsInto implements BlockScorer's ragged half: one gathered
 // pair-dot pass over the propagated embedding matrix, then the sigmoid.
 func (m *LightGCN) ScorePairsInto(dst []float64, users []int, items []int) {
 	checkPairs(dst, users, items)

@@ -8,28 +8,21 @@ import (
 )
 
 // TestScoreBlockLogitsContract pins the sigmoid-placement contract on every
-// model kind (dense and lazy): ScoreBlockInto must equal ScoreBlockLogitsInto
-// followed by the element-wise boundary sigmoid, bitwise — the identity that
-// lets selection run on raw logits and pay σ only for winners.
+// model kind (dense and lazy): ScoreItems must equal ScoreBlockLogitsInto
+// followed by the element-wise sigmoid, bitwise — the identity that lets
+// selection run on raw logits and pay σ only for winners.
 func TestScoreBlockLogitsContract(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		for _, lazy := range []bool{false, true} {
 			m := blockModel(t, kind, lazy)
-			bs, ok := m.(BlockScorer)
-			if !ok {
-				t.Fatalf("%s lazy=%v does not implement BlockScorer", kind, lazy)
-			}
 			for _, items := range raggedLists(blockConfig().NumItems) {
 				for u := 0; u < 3; u++ {
 					logits := make([]float64, len(items))
-					probs := make([]float64, len(items))
-					if len(items) > 0 {
-						bs.ScoreBlockLogitsInto(logits, u, items)
-						bs.ScoreBlockInto(probs, u, items)
-					}
+					m.ScoreBlockLogitsInto(logits, u, items)
+					probs := m.ScoreItems(u, items)
 					for i := range items {
 						if want := nn.Sigmoid(logits[i]); probs[i] != want {
-							t.Fatalf("%s lazy=%v u=%d item %d: ScoreBlockInto=%v, σ(logit)=%v (logit=%v)",
+							t.Fatalf("%s lazy=%v u=%d item %d: ScoreItems=%v, σ(logit)=%v (logit=%v)",
 								kind, lazy, u, items[i], probs[i], want, logits[i])
 						}
 					}
@@ -43,37 +36,26 @@ func TestScoreBlockLogitsContract(t *testing.T) {
 // on every model kind: each row of ScoreUsersBlockLogitsInto must equal the
 // single-user ScoreBlockLogitsInto for that user bitwise (row independence —
 // the property that makes batched evaluation bitwise-identical to per-user
-// evaluation), and ScoreUsersBlockInto must be the logits plus the boundary
-// sigmoid.
+// evaluation).
 func TestScoreUsersBlockLogitsContract(t *testing.T) {
 	cfg := blockConfig()
 	users := []int{0, 2, 1, 4, 2}
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		for _, lazy := range []bool{false, true} {
 			m := blockModel(t, kind, lazy)
-			mbs, ok := m.(MultiBlockScorer)
-			if !ok {
-				t.Fatalf("%s lazy=%v does not implement MultiBlockScorer", kind, lazy)
-			}
 			for _, items := range raggedLists(cfg.NumItems) {
 				if len(items) == 0 {
 					continue
 				}
 				logits := tensor.New(len(users), len(items))
-				probs := tensor.New(len(users), len(items))
-				mbs.ScoreUsersBlockLogitsInto(logits, users, items)
-				mbs.ScoreUsersBlockInto(probs, users, items)
+				m.ScoreUsersBlockLogitsInto(logits, users, items)
 				row := make([]float64, len(items))
 				for r, u := range users {
-					mbs.(BlockScorer).ScoreBlockLogitsInto(row, u, items)
+					m.ScoreBlockLogitsInto(row, u, items)
 					for i := range items {
 						if logits.At(r, i) != row[i] {
 							t.Fatalf("%s lazy=%v user %d item %d: batched logit %v != single-user logit %v",
 								kind, lazy, u, items[i], logits.At(r, i), row[i])
-						}
-						if want := nn.Sigmoid(logits.At(r, i)); probs.At(r, i) != want {
-							t.Fatalf("%s lazy=%v user %d item %d: ScoreUsersBlockInto=%v, σ(logit)=%v",
-								kind, lazy, u, items[i], probs.At(r, i), want)
 						}
 					}
 				}

@@ -36,27 +36,16 @@ func (m *MF) Name() string { return string(KindMF) }
 // NumParams implements Recommender.
 func (m *MF) NumParams() int { return (m.cfg.NumUsers + m.cfg.NumItems) * m.cfg.Dim }
 
-// Score implements Recommender.
+// Score implements Recommender per item; it is the reference the block
+// kernels are tested against.
 func (m *MF) Score(u, v int) float64 {
 	return nn.Sigmoid(dot(m.users.Row(u), m.items.Row(v)))
 }
 
 // ScoreItems implements Recommender.
-func (m *MF) ScoreItems(u int, items []int) []float64 {
-	return m.ScoreItemsInto(nil, u, items)
-}
+func (m *MF) ScoreItems(u int, items []int) []float64 { return scoreItems(m, u, items) }
 
-// ScoreItemsInto implements InplaceScorer.
-func (m *MF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	out := scoreBuf(dst, len(items))
-	p := m.users.Row(u)
-	for _, v := range items {
-		out = append(out, nn.Sigmoid(dot(p, m.items.Row(v))))
-	}
-	return out
-}
-
-// ScoreBlockLogitsInto implements BlockScorer's logit-domain half: one fused
+// ScoreBlockLogitsInto implements BlockScorer for one user: one fused
 // row-gather GEMV against the dense item-embedding matrix produces the whole
 // candidate list's raw dot products (sharded over the TrainWorkers pool for
 // very long lists). Lazy item tables have no dense matrix to multiply
@@ -74,14 +63,7 @@ func (m *MF) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
 	}
 }
 
-// ScoreBlockInto implements BlockScorer: the logit kernel with the sigmoid
-// applied at this call boundary, per the contract.
-func (m *MF) ScoreBlockInto(dst []float64, u int, items []int) {
-	m.ScoreBlockLogitsInto(dst, u, items)
-	sigmoidVec(dst)
-}
-
-// ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
+// ScoreUsersBlockLogitsInto implements BlockScorer for a user batch:
 // one double-gathered GEMM against the dense embedding tables produces the
 // whole user batch's raw dot products. Lazy tables fall back to per-user
 // logit scoring row by row.
@@ -98,14 +80,7 @@ func (m *MF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []
 	}
 }
 
-// ScoreUsersBlockInto implements MultiBlockScorer: the logit kernel with the
-// sigmoid applied at this call boundary, per the contract.
-func (m *MF) ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int) {
-	m.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidData(dst)
-}
-
-// ScorePairsInto implements MultiBlockScorer's ragged half: one gathered
+// ScorePairsInto implements BlockScorer's ragged half: one gathered
 // pair-dot pass over the dense embedding tables, then the sigmoid.
 func (m *MF) ScorePairsInto(dst []float64, users []int, items []int) {
 	checkPairs(dst, users, items)

@@ -7,13 +7,19 @@
 // cross-entropy on (user, item, label) triples where the label may be soft —
 // that is exactly the client loss (Eq. 3) and server loss (Eq. 5) of
 // PTF-FedRec.
+//
+// A hidden server model is reached only through its scores, so scoring is a
+// model's whole public surface. Each model carries one implementation of it:
+// the logit-domain block kernels of BlockScorer. σ is applied in one place
+// (ScoreProbsInto), which ScoreItems, ScoreBlockTopK and the scalar dispersal
+// path share. MF, NGCF and LightGCN keep a per-item Score body as the
+// reference the block kernels are tested against.
 package models
 
 import (
 	"fmt"
 
 	"ptffedrec/internal/graph"
-	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
 )
 
@@ -25,8 +31,10 @@ type Sample struct {
 }
 
 // Recommender is the model contract the federated and centralized trainers
-// share.
+// share. Its scoring surface is BlockScorer; Score and ScoreItems are the
+// probability-domain conveniences on top of it.
 type Recommender interface {
+	BlockScorer
 	// Name identifies the model family (for reports).
 	Name() string
 	// TrainBatch runs forward/backward/update on one batch and returns the
@@ -34,7 +42,8 @@ type Recommender interface {
 	TrainBatch(batch []Sample) float64
 	// Score returns σ(logit) for a single user–item pair.
 	Score(u, v int) float64
-	// ScoreItems scores one user against a list of items.
+	// ScoreItems scores one user against a list of items: ScoreProbsInto
+	// into a fresh slice.
 	ScoreItems(u int, items []int) []float64
 	// NumParams returns the number of scalar parameters (for the
 	// communication-cost comparisons of Table IV).
@@ -63,10 +72,10 @@ type GraphDeltaRecommender interface {
 }
 
 // Scorer is the minimal scoring capability — one user against a list of
-// candidate items — and the root of the scoring interface family consumed by
-// the evaluator and the dispersal engine (InplaceScorer, BlockScorer, and
-// MultiBlockScorer refine it). Recommender satisfies it; federated clients
-// adapt it to their local user index via ScorerFunc.
+// candidate items, as probabilities. The evaluator ranks any Scorer; one that
+// is also a BlockScorer (every Recommender) ranks through the block kernels
+// instead. Federated clients adapt their local model to their user index via
+// ScorerFunc, and the baselines score through ScorerFunc adapters too.
 //
 // A Scorer handed to a parallel consumer must tolerate concurrent ScoreItems
 // calls for distinct users (no consumer scores the same user from two
@@ -88,67 +97,6 @@ func (f ScorerFunc) ScoreItems(u int, items []int) []float64 { return f(u, items
 // Parallel consumers invoke it once before fanning out to workers.
 type Warmer interface {
 	WarmScoring()
-}
-
-// InplaceScorer is implemented by models whose batch scoring can reuse a
-// caller-provided buffer. ScoreItemsInto returns a slice of len(items) backed
-// by dst when dst has the capacity, avoiding a per-call allocation on the
-// evaluation and dispersal hot paths. All models in this package implement it.
-type InplaceScorer interface {
-	ScoreItemsInto(dst []float64, u int, items []int) []float64
-}
-
-// BlockScorer is the batched scoring engine's contract, implemented by every
-// model in this package. Both methods fill dst — which must have length
-// len(items) — with user u's value for each candidate item, scoring the whole
-// block through matrix kernels: MF and the graph models run one fused
-// row-gather GEMV against the (propagated) item-embedding matrix, and NeuMF
-// batches its MLP forward over fixed-size candidate chunks through a pooled
-// workspace.
-//
-// Sigmoid placement is an explicit part of the contract, not an
-// implementation detail of each model: ScoreBlockLogitsInto produces the raw
-// pre-sigmoid logits, and ScoreBlockInto is exactly those logits passed
-// element-wise through σ (nn.Sigmoid) at the call boundary. Selection
-// consumers use the logit entry point and rank under
-// metrics.LogitTopKSelector's tie-safe contract — σ is monotone, so order is
-// preserved, but float rounding can collapse distinct logits to equal
-// probabilities, which the selector resolves exactly — paying σ only for the
-// candidates that reach the heap instead of once per item scored.
-//
-// The contract is strict: for any dst/items, ScoreBlockInto produces scores
-// bitwise-identical to the per-item ScoreItemsInto path, so evaluation
-// metrics, dispersal plans, and training histories do not depend on which
-// path a caller takes. Like ScoreItems, concurrent calls for distinct users
-// are safe once lazily built shared state is warm (Warmer) and the model's
-// tables are dense; Lazy models materialise rows on read and must be scored
-// from one goroutine.
-type BlockScorer interface {
-	ScoreBlockInto(dst []float64, u int, items []int)
-	ScoreBlockLogitsInto(dst []float64, u int, items []int)
-}
-
-// scoreBuf returns a zero-length slice with capacity for n scores, reusing
-// dst's storage when possible.
-func scoreBuf(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, 0, n)
-	}
-	return dst[:0]
-}
-
-// checkBlock validates a ScoreBlockInto destination.
-func checkBlock(dst []float64, items []int) {
-	if len(dst) != len(items) {
-		panic(fmt.Sprintf("models: ScoreBlockInto dst[%d] for %d items", len(dst), len(items)))
-	}
-}
-
-// sigmoidVec replaces each logit in dst with σ(logit).
-func sigmoidVec(dst []float64) {
-	for i, v := range dst {
-		dst[i] = nn.Sigmoid(v)
-	}
 }
 
 // Kind selects a model family.

@@ -3,49 +3,84 @@ package models
 import (
 	"fmt"
 
+	"ptffedrec/internal/nn"
 	"ptffedrec/internal/tensor"
 )
 
-// MultiBlockScorer is the multi-user batched scoring engine's contract,
-// implemented by every model in this package. ScoreUsersBlockInto fills dst —
-// which must be len(users) × len(items) — with σ(logit) for every
-// (users[i], items[j]) pair, scoring the whole user batch against the shared
-// candidate block through matrix kernels: MF and the graph models run one
-// double-gathered GEMM (tensor.GatherMulMatInto) against the (propagated)
-// embedding matrices, and NeuMF streams each user's row through its pooled
-// chunked MLP forwards.
+// BlockScorer is the scoring contract every model in this package
+// implements, and the only scoring code a model carries: the evaluator, the
+// dispersal engines and ScoreItems all reach a model through it. Scoring runs
+// through matrix kernels over whole candidate blocks — MF and the graph
+// models through fused row-gather GEMV/GEMM kernels against the (propagated)
+// embedding matrices, NeuMF through chunked MLP forwards over a pooled
+// workspace.
 //
-// Sigmoid placement follows BlockScorer's contract: ScoreUsersBlockLogitsInto
-// is the logit-domain entry point — the same kernels stopping before the
-// sigmoid — and ScoreUsersBlockInto is exactly those logits passed
-// element-wise through σ at the call boundary. The batched evaluation and
-// dispersal engines score logits and select under
-// metrics.LogitTopKSelector's tie-safe contract, applying σ only to the
-// winners they keep.
+//   - ScoreBlockLogitsInto fills dst (len(items)) with user u's raw
+//     pre-sigmoid logit for each candidate item.
+//   - ScoreUsersBlockLogitsInto fills dst (len(users) × len(items)) with the
+//     logit of every (users[i], items[j]) pair; row i is bitwise-identical to
+//     ScoreBlockLogitsInto(row, users[i], items) for any batch composition.
+//   - ScorePairsInto is the ragged half: dst[p] = σ(logit) of the pair
+//     (users[p], items[p]), bitwise-identical to scoring each pair alone. It
+//     stays in the probability domain because its consumer, dispersal's
+//     final re-scoring, ships every pair's probability over the wire.
 //
-// The contract is strict: dst.Row(i) is bitwise-identical to
-// ScoreBlockInto(row, users[i], items) — logit rows to
-// ScoreBlockLogitsInto(row, users[i], items) — and therefore to the per-item
-// scoring path, for any batch composition, so evaluation metrics, dispersal
-// plans, and training histories do not depend on how users are grouped into
-// score batches. Concurrency follows BlockScorer's rules: calls for disjoint
-// user batches are safe once lazily built shared state is warm (Warmer) and
-// the model's tables are dense; Lazy models materialise rows on read and must
-// be scored from one goroutine.
+// Sigmoid placement is part of the contract: σ is applied in exactly one
+// place, ScoreProbsInto, whose output is the logits passed element-wise
+// through nn.Sigmoid. Selection consumers rank raw logits under
+// metrics.LogitTopKSelector's tie-safe contract — σ is monotone, but float
+// rounding can collapse distinct logits to equal probabilities, which the
+// selector resolves exactly — paying σ only for the candidates that reach a
+// heap.
 //
-// ScorePairsInto is the contract's ragged half: dst[p] = σ(logit) for the
-// pair (users[p], items[p]). It batches scoring passes whose per-user item
-// lists differ — dispersal's final re-scoring concatenates every client's
-// chosen items into one pair list — through the gathered pair-dot kernels
-// (tensor.GatherPairDotInto) or, for NeuMF, the same pooled chunked forwards
-// with per-row users. Values are bitwise-identical to scoring each pair
-// through the per-user paths. It stays σ-domain only: its consumers ship the
-// probabilities over the wire, so every pair's sigmoid is paid regardless and
-// a logit variant would have no caller.
-type MultiBlockScorer interface {
-	ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int)
+// Every value is independent of how candidates, users or pairs are grouped
+// into calls, so evaluation metrics, dispersal plans and training histories
+// do not depend on batching. Concurrent calls for distinct users are safe
+// once lazily built shared state is warm (Warmer) and the model's tables are
+// dense; Lazy models materialise rows on read and must be scored from one
+// goroutine.
+type BlockScorer interface {
+	ScoreBlockLogitsInto(dst []float64, u int, items []int)
 	ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int)
 	ScorePairsInto(dst []float64, users []int, items []int)
+}
+
+// ScoreProbsInto is the contract's σ boundary: it fills dst (len(items))
+// with user u's logits from bs.ScoreBlockLogitsInto, each passed through
+// nn.Sigmoid.
+func ScoreProbsInto(bs BlockScorer, dst []float64, u int, items []int) {
+	bs.ScoreBlockLogitsInto(dst, u, items)
+	sigmoidVec(dst)
+}
+
+// scoreItems is every model's ScoreItems: the σ-boundary scores in a fresh
+// slice.
+func scoreItems(bs BlockScorer, u int, items []int) []float64 {
+	dst := make([]float64, len(items))
+	ScoreProbsInto(bs, dst, u, items)
+	return dst
+}
+
+// sigmoidVec replaces each logit in dst with σ(logit).
+func sigmoidVec(dst []float64) {
+	for i, v := range dst {
+		dst[i] = nn.Sigmoid(v)
+	}
+}
+
+// checkBlock validates a ScoreBlockLogitsInto destination.
+func checkBlock(dst []float64, items []int) {
+	if len(dst) != len(items) {
+		panic(fmt.Sprintf("models: ScoreBlockLogitsInto dst[%d] for %d items", len(dst), len(items)))
+	}
+}
+
+// checkUsersBlock validates a ScoreUsersBlockLogitsInto destination.
+func checkUsersBlock(dst *tensor.Matrix, users, items []int) {
+	if dst.Rows != len(users) || dst.Cols != len(items) {
+		panic(fmt.Sprintf("models: ScoreUsersBlockLogitsInto dst %dx%d for %d users × %d items",
+			dst.Rows, dst.Cols, len(users), len(items)))
+	}
 }
 
 // checkPairs validates a ScorePairsInto destination.
@@ -55,14 +90,3 @@ func checkPairs(dst []float64, users, items []int) {
 			len(dst), len(users), len(items)))
 	}
 }
-
-// checkUsersBlock validates a ScoreUsersBlockInto destination.
-func checkUsersBlock(dst *tensor.Matrix, users, items []int) {
-	if dst.Rows != len(users) || dst.Cols != len(items) {
-		panic(fmt.Sprintf("models: ScoreUsersBlockInto dst %dx%d for %d users × %d items",
-			dst.Rows, dst.Cols, len(users), len(items)))
-	}
-}
-
-// sigmoidData replaces each logit in m with σ(logit).
-func sigmoidData(m *tensor.Matrix) { sigmoidVec(m.Data) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptffedrec/internal/graph"
+	"ptffedrec/internal/nn"
 	"ptffedrec/internal/rng"
 	"ptffedrec/internal/tensor"
 )
@@ -39,49 +40,49 @@ func multiBlockFixture(t *testing.T, kind Kind, lazy bool) Recommender {
 	return m
 }
 
-// TestScoreUsersBlockMatchesScalar pins the MultiBlockScorer contract for
-// every model kind: each row of the batched user-block score matrix is
-// bitwise-identical to the single-user ScoreBlockInto path, for batch sizes
-// covering the GEMM kernel's interleaved quad path and its remainder tail.
+// TestScoreUsersBlockMatchesScalar pins the multi-user half of the
+// BlockScorer contract for every model kind: each row of the batched
+// user-block logit matrix, through the sigmoid, is bitwise-identical to the
+// per-item reference, for batch sizes covering the GEMM kernel's interleaved
+// quad path and its remainder tail.
 func TestScoreUsersBlockMatchesScalar(t *testing.T) {
 	kinds := []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN}
 	s := rng.New(5).Derive("batch")
 	for _, kind := range kinds {
 		m := multiBlockFixture(t, kind, false)
-		mbs, ok := m.(MultiBlockScorer)
-		if !ok {
-			t.Fatalf("%s does not implement MultiBlockScorer", kind)
-		}
-		bs := m.(BlockScorer)
 		for _, nUsers := range []int{1, 3, 4, 7} {
 			users := s.SampleInts(23, nUsers)
 			items := s.SampleInts(57, 1+s.Intn(57))
-			dst := tensor.New(len(users), len(items))
-			mbs.ScoreUsersBlockInto(dst, users, items)
-			want := make([]float64, len(items))
-			for i, u := range users {
-				bs.ScoreBlockInto(want, u, items)
-				for j := range want {
-					if dst.At(i, j) != want[j] {
-						t.Fatalf("%s users=%d: dst[%d][%d] = %v, want %v (user %d item %d)",
-							kind, nUsers, i, j, dst.At(i, j), want[j], u, items[j])
-					}
-				}
+			requireUsersBlockMatchesRef(t, string(kind), m, users, items)
+		}
+	}
+}
+
+// requireUsersBlockMatchesRef scores users × items through
+// ScoreUsersBlockLogitsInto and checks every σ(logit) against refScores.
+func requireUsersBlockMatchesRef(t *testing.T, label string, m Recommender, users, items []int) {
+	t.Helper()
+	dst := tensor.New(len(users), len(items))
+	m.ScoreUsersBlockLogitsInto(dst, users, items)
+	for i, u := range users {
+		want := refScores(m, u, items)
+		for j := range want {
+			if got := nn.Sigmoid(dst.At(i, j)); got != want[j] {
+				t.Fatalf("%s users=%d: σ(dst[%d][%d]) = %v, want %v (user %d item %d)",
+					label, len(users), i, j, got, want[j], u, items[j])
 			}
 		}
 	}
 }
 
 // TestScorePairsMatchesScalar pins the ragged half of the contract for every
-// model kind: pair scores are bitwise-identical to scoring each pair through
-// the single-user block path, across pair counts covering the interleaved
-// quad path, its tail, and NeuMF's chunk boundaries.
+// model kind: pair scores are bitwise-identical to the per-item reference,
+// across pair counts covering the interleaved quad path, its tail, and
+// NeuMF's chunk boundaries.
 func TestScorePairsMatchesScalar(t *testing.T) {
 	s := rng.New(17).Derive("pairs")
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := multiBlockFixture(t, kind, false)
-		mbs := m.(MultiBlockScorer)
-		bs := m.(BlockScorer)
 		for _, n := range []int{1, 3, 4, 9, 300} {
 			users := make([]int, n)
 			items := make([]int, n)
@@ -90,13 +91,11 @@ func TestScorePairsMatchesScalar(t *testing.T) {
 				items[i] = s.Intn(57)
 			}
 			dst := make([]float64, n)
-			mbs.ScorePairsInto(dst, users, items)
-			one := make([]float64, 1)
+			m.ScorePairsInto(dst, users, items)
 			for p := range users {
-				bs.ScoreBlockInto(one, users[p], items[p:p+1])
-				if dst[p] != one[0] {
+				if want := refScores(m, users[p], items[p:p+1])[0]; dst[p] != want {
 					t.Fatalf("%s n=%d: pair %d = %v, scalar %v (user %d item %d)",
-						kind, n, p, dst[p], one[0], users[p], items[p])
+						kind, n, p, dst[p], want, users[p], items[p])
 				}
 			}
 		}
@@ -108,20 +107,7 @@ func TestScorePairsMatchesScalar(t *testing.T) {
 // through the per-user path.
 func TestScoreUsersBlockLazyFallback(t *testing.T) {
 	m := multiBlockFixture(t, KindMF, true)
-	mbs := m.(MultiBlockScorer)
-	users := []int{0, 3, 7, 7, 12, 22}
-	items := []int{0, 5, 9, 31, 56}
-	dst := tensor.New(len(users), len(items))
-	mbs.ScoreUsersBlockInto(dst, users, items)
-	want := make([]float64, len(items))
-	for i, u := range users {
-		m.(BlockScorer).ScoreBlockInto(want, u, items)
-		for j := range want {
-			if dst.At(i, j) != want[j] {
-				t.Fatalf("lazy MF: dst[%d][%d] = %v, want %v", i, j, dst.At(i, j), want[j])
-			}
-		}
-	}
+	requireUsersBlockMatchesRef(t, "lazy MF", m, []int{0, 3, 7, 7, 12, 22}, []int{0, 5, 9, 31, 56})
 }
 
 // BenchmarkMultiUserScoring compares per-user block scoring with the
@@ -146,17 +132,15 @@ func BenchmarkMultiUserScoring(b *testing.B) {
 		}
 		dst := tensor.New(len(users), len(items))
 		b.Run(string(kind)+"/per-user", func(b *testing.B) {
-			bs := m.(BlockScorer)
 			for i := 0; i < b.N; i++ {
 				for r, u := range users {
-					bs.ScoreBlockInto(dst.Row(r), u, items)
+					m.ScoreBlockLogitsInto(dst.Row(r), u, items)
 				}
 			}
 		})
 		b.Run(string(kind)+"/multi-user", func(b *testing.B) {
-			mbs := m.(MultiBlockScorer)
 			for i := 0; i < b.N; i++ {
-				mbs.ScoreUsersBlockInto(dst, users, items)
+				m.ScoreUsersBlockLogitsInto(dst, users, items)
 			}
 		})
 	}
@@ -167,6 +151,6 @@ func TestScoreUsersBlockEmptyItems(t *testing.T) {
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
 		m := multiBlockFixture(t, kind, false)
 		dst := tensor.New(2, 0)
-		m.(MultiBlockScorer).ScoreUsersBlockInto(dst, []int{0, 1}, nil) // must not panic
+		m.ScoreUsersBlockLogitsInto(dst, []int{0, 1}, nil) // must not panic
 	}
 }

@@ -22,7 +22,7 @@ type NeuMF struct {
 	opt     *nn.Adam
 	params  []*nn.Param
 
-	// scoreWS pools batched-scoring workspaces so concurrent ScoreBlockInto
+	// scoreWS pools batched-scoring workspaces so concurrent block-scoring
 	// callers (eval workers, the dispersal pool) each borrow a private one
 	// instead of allocating per-chunk forward matrices.
 	scoreWS sync.Pool
@@ -187,29 +187,14 @@ func (m *NeuMF) TrainBatch(batch []Sample) float64 {
 	return lossSum / float64(n)
 }
 
-// Score implements Recommender.
+// Score implements Recommender through the block path; the training forward
+// is the reference the block path is tested against.
 func (m *NeuMF) Score(u, v int) float64 {
 	return m.ScoreItems(u, []int{v})[0]
 }
 
 // ScoreItems implements Recommender.
-func (m *NeuMF) ScoreItems(u int, items []int) []float64 {
-	return m.ScoreItemsInto(nil, u, items)
-}
-
-// ScoreItemsInto implements InplaceScorer.
-func (m *NeuMF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	if len(items) == 0 {
-		return scoreBuf(dst, 0)
-	}
-	batch := make([]Sample, len(items))
-	for i, v := range items {
-		batch[i] = Sample{User: u, Item: v}
-	}
-	_, _, _, preds := m.forward(batch)
-	out := scoreBuf(dst, len(items))
-	return append(out, preds...)
-}
+func (m *NeuMF) ScoreItems(u int, items []int) []float64 { return scoreItems(m, u, items) }
 
 // scoreChunkSize is the candidate-chunk width of NeuMF's batched scoring: the
 // workspace holds one chunk's forward intermediates, so peak memory is
@@ -238,7 +223,7 @@ func (m *NeuMF) newScoreWS() *neumfScoreWS {
 	return ws
 }
 
-// ScoreBlockLogitsInto implements BlockScorer's logit-domain half: candidates
+// ScoreBlockLogitsInto implements BlockScorer for one user: candidates
 // run through the tower in scoreChunkSize batches over a pooled workspace,
 // replacing len(items) single-row forwards (and their per-call allocations)
 // with ceil(len(items)/chunk) matrix products, stopping at the output head's
@@ -253,14 +238,7 @@ func (m *NeuMF) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
 	m.scoreBlockLogitsWS(ws, dst, u, items)
 }
 
-// ScoreBlockInto implements BlockScorer: the logit forwards with the sigmoid
-// applied at this call boundary, per the contract.
-func (m *NeuMF) ScoreBlockInto(dst []float64, u int, items []int) {
-	m.ScoreBlockLogitsInto(dst, u, items)
-	sigmoidVec(dst)
-}
-
-// ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
+// ScoreUsersBlockLogitsInto implements BlockScorer for a user batch:
 // each user's row runs the pooled chunked tower forwards, borrowing one
 // workspace for the whole batch. Every forward row depends only on its own
 // (user, item) input row, so the batch grouping never changes a logit.
@@ -274,13 +252,6 @@ func (m *NeuMF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items
 	for i, u := range users {
 		m.scoreBlockLogitsWS(ws, dst.Row(i), u, items)
 	}
-}
-
-// ScoreUsersBlockInto implements MultiBlockScorer: the logit forwards with
-// the sigmoid applied at this call boundary, per the contract.
-func (m *NeuMF) ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int) {
-	m.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidData(dst)
 }
 
 // scoreBlockLogitsWS is the chunked-forward core shared by the single- and
@@ -307,9 +278,9 @@ func (m *NeuMF) scoreBlockLogitsWS(ws *neumfScoreWS, dst []float64, u int, items
 
 // forwardChunkLogitsWS runs one assembled input chunk through the tower over
 // the workspace, writing the output head's raw logit per row into dst. The
-// sigmoid, when a caller wants probabilities, is applied at the block-scorer
-// call boundary — σ is element-wise, so deferring it past the chunk loop
-// cannot change a value.
+// sigmoid, when a caller wants probabilities, is applied by ScoreProbsInto
+// (or ScorePairsInto) — σ is element-wise, so deferring it past the chunk
+// loop cannot change a value.
 func (m *NeuMF) forwardChunkLogitsWS(ws *neumfScoreWS, dst []float64, x *tensor.Matrix) {
 	n := x.Rows
 	cur := x
@@ -323,7 +294,7 @@ func (m *NeuMF) forwardChunkLogitsWS(ws *neumfScoreWS, dst []float64, x *tensor.
 	}
 }
 
-// ScorePairsInto implements MultiBlockScorer's ragged half: (user, item)
+// ScorePairsInto implements BlockScorer's ragged half: (user, item)
 // pairs stream through the same pooled chunked logit forwards with a per-row
 // user embedding, then the sigmoid. Each forward row depends only on its own
 // input row, so pair batching never changes a score.

@@ -142,28 +142,17 @@ func (m *NGCF) scoreNodes(un, vn int) float64 {
 	return nn.Sigmoid(s * m.readoutScale())
 }
 
-// Score implements Recommender.
+// Score implements Recommender per item; it is the reference the block
+// kernels are tested against.
 func (m *NGCF) Score(u, v int) float64 {
 	m.propagate()
 	return m.scoreNodes(u, m.itemNode(v))
 }
 
 // ScoreItems implements Recommender.
-func (m *NGCF) ScoreItems(u int, items []int) []float64 {
-	return m.ScoreItemsInto(nil, u, items)
-}
+func (m *NGCF) ScoreItems(u int, items []int) []float64 { return scoreItems(m, u, items) }
 
-// ScoreItemsInto implements InplaceScorer.
-func (m *NGCF) ScoreItemsInto(dst []float64, u int, items []int) []float64 {
-	m.propagate()
-	out := scoreBuf(dst, len(items))
-	for _, v := range items {
-		out = append(out, m.scoreNodes(u, m.itemNode(v)))
-	}
-	return out
-}
-
-// ScoreBlockLogitsInto implements BlockScorer's logit-domain half: one fused
+// ScoreBlockLogitsInto implements BlockScorer for one user: one fused
 // row-gather GEMV per layer matrix, accumulated in layer order — the same
 // left-to-right sum over layers as scoreNodes — then the readout scaling,
 // which is part of the logit (the sigmoid's argument), not of the sigmoid.
@@ -184,14 +173,7 @@ func (m *NGCF) ScoreBlockLogitsInto(dst []float64, u int, items []int) {
 	}
 }
 
-// ScoreBlockInto implements BlockScorer: the logit kernel with the sigmoid
-// applied at this call boundary, per the contract.
-func (m *NGCF) ScoreBlockInto(dst []float64, u int, items []int) {
-	m.ScoreBlockLogitsInto(dst, u, items)
-	sigmoidVec(dst)
-}
-
-// ScoreUsersBlockLogitsInto implements MultiBlockScorer's logit-domain half:
+// ScoreUsersBlockLogitsInto implements BlockScorer for a user batch:
 // one double-gathered GEMM per layer matrix, accumulated in layer order like
 // scoreNodes, then the readout scaling over the whole batch.
 func (m *NGCF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
@@ -210,14 +192,7 @@ func (m *NGCF) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items 
 	}
 }
 
-// ScoreUsersBlockInto implements MultiBlockScorer: the logit kernel with the
-// sigmoid applied at this call boundary, per the contract.
-func (m *NGCF) ScoreUsersBlockInto(dst *tensor.Matrix, users []int, items []int) {
-	m.ScoreUsersBlockLogitsInto(dst, users, items)
-	sigmoidData(dst)
-}
-
-// ScorePairsInto implements MultiBlockScorer's ragged half: one gathered
+// ScorePairsInto implements BlockScorer's ragged half: one gathered
 // pair-dot pass per layer matrix, accumulated in layer order like
 // scoreNodes, then the scaled averaged-readout sigmoid.
 func (m *NGCF) ScorePairsInto(dst []float64, users []int, items []int) {

@@ -2,7 +2,6 @@ package models
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"ptffedrec/internal/graph"
@@ -81,37 +80,6 @@ func TestTrainBatchWorkerInvariance(t *testing.T) {
 			if !bytes.Equal(snap, refSnap) {
 				t.Fatalf("%s: workers=%d snapshot differs from workers=1", kind, workers)
 			}
-		}
-	}
-}
-
-// TestScoreItemsIntoMatchesScoreItems checks the buffer-reusing scorer path
-// returns the same values as the allocating one and actually reuses storage.
-func TestScoreItemsIntoMatchesScoreItems(t *testing.T) {
-	cfg := smallConfig()
-	items := []int{0, 1, 3, 5}
-	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
-		m, err := New(kind, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gm, ok := m.(GraphRecommender); ok {
-			gm.SetGraph(smallGraph(cfg))
-		}
-		is, ok := m.(InplaceScorer)
-		if !ok {
-			t.Fatalf("%s does not implement InplaceScorer", kind)
-		}
-		buf := make([]float64, 0, len(items))
-		got := is.ScoreItemsInto(buf, 1, items)
-		want := m.ScoreItems(1, items)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-15 {
-				t.Fatalf("%s: ScoreItemsInto[%d] = %v, ScoreItems = %v", kind, i, got[i], want[i])
-			}
-		}
-		if len(items) > 0 && cap(buf) >= len(items) && &got[0] != &buf[:1][0] {
-			t.Fatalf("%s: ScoreItemsInto did not reuse the provided buffer", kind)
 		}
 	}
 }

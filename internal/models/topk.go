@@ -19,21 +19,20 @@ type TopKScratch struct {
 	out    []int
 }
 
-// ScoreBlockTopK fuses top-k selection into the batched scoring engine: it
-// scores items for user u through bs in fixed-size chunks, streaming each
-// chunk's scores into a bounded-heap selector, and returns the indices into
-// items of the k highest scores ordered (score desc, index asc). The result
-// is bitwise-identical to filling a full len(items) score vector with
-// ScoreBlockInto and running metrics.TopKInto — ScoreBlockInto's contract
-// makes every chunk's scores independent of how the list is sliced — but only
-// scoreBlockTopKChunk scores ever exist at once.
+// ScoreBlockTopK fuses top-k selection into the block scoring engine: it
+// scores items for user u in fixed-size chunks through ScoreProbsInto,
+// streaming each chunk's probabilities into a bounded-heap selector, and
+// returns the indices into items of the k highest scores ordered (score desc,
+// index asc). The result is bitwise-identical to filling a full len(items)
+// score vector with ScoreProbsInto and running metrics.TopKInto — the
+// BlockScorer contract makes every chunk's scores independent of how the
+// list is sliced — but only scoreBlockTopKChunk scores ever exist at once.
 //
-// This is the single-user probability-domain engine: it scores through
-// ScoreBlockInto (σ applied to every candidate) and selects with the
-// probability-domain TopKSelector. The multi-user evaluator batches users
-// through ScoreUsersBlockLogitsInto and selects raw logits with
-// metrics.LogitTopKSelector instead — same output, fewer sigmoids — and keeps
-// this engine as its bitwise reference and timing baseline.
+// This is the single-user probability-domain engine, used where users are
+// ranked one at a time: the evaluator's SingleUser and streaming modes and
+// the scalar dispersal path. The multi-user engines batch users through
+// ScoreUsersBlockLogitsInto and select raw logits with
+// metrics.LogitTopKSelector instead — same output, fewer sigmoids.
 //
 // The returned slice is backed by sc and valid until the next call with the
 // same scratch.
@@ -59,7 +58,7 @@ func ScoreBlockTopK(bs BlockScorer, sc *TopKScratch, u int, items []int, k int) 
 			end = len(items)
 		}
 		buf := sc.scores[:end-off]
-		bs.ScoreBlockInto(buf, u, items[off:end])
+		ScoreProbsInto(bs, buf, u, items[off:end])
 		sc.sel.PushRow(off, buf)
 	}
 	sc.out = sc.sel.Into(sc.out)

@@ -6,16 +6,15 @@ import (
 
 	"ptffedrec/internal/metrics"
 	"ptffedrec/internal/rng"
+	"ptffedrec/internal/tensor"
 )
 
-// refSelect materialises the full score vector through ScoreBlockInto and
+// refSelect materialises the full score vector through ScoreProbsInto and
 // selects with the stable-sort reference — the exact semantics ScoreBlockTopK
 // must reproduce without ever holding all the scores.
 func refSelect(bs BlockScorer, u int, items []int, k int) []int {
 	scores := make([]float64, len(items))
-	if len(items) > 0 {
-		bs.ScoreBlockInto(scores, u, items)
-	}
+	ScoreProbsInto(bs, scores, u, items)
 	got := metrics.TopK(scores, k)
 	out := make([]int, len(got))
 	copy(out, got)
@@ -32,11 +31,7 @@ func TestScoreBlockTopKMatchesSort(t *testing.T) {
 	scoreBlockTopKChunk = 64
 
 	for _, kind := range []Kind{KindMF, KindNeuMF, KindNGCF, KindLightGCN} {
-		m := blockModel(t, kind, false)
-		bs, ok := m.(BlockScorer)
-		if !ok {
-			t.Fatalf("%s does not implement BlockScorer", kind)
-		}
+		bs := blockModel(t, kind, false)
 		var sc TopKScratch
 		for _, items := range raggedLists(blockConfig().NumItems) {
 			for _, k := range []int{0, 1, 5, 20, len(items), len(items) + 7} {
@@ -89,7 +84,7 @@ func TestScoreBlockTopKTieHeavy(t *testing.T) {
 // TestScoreBlockTopKAllocFree checks the scratch contract: once warm, a
 // selection allocates nothing.
 func TestScoreBlockTopKAllocFree(t *testing.T) {
-	m := blockModel(t, KindMF, false).(BlockScorer)
+	m := blockModel(t, KindMF, false)
 	items := make([]int, blockConfig().NumItems)
 	for i := range items {
 		items[i] = i
@@ -104,14 +99,20 @@ func TestScoreBlockTopKAllocFree(t *testing.T) {
 	}
 }
 
-// blockScorerFunc adapts a logit-producing function to BlockScorer for tests,
-// honoring the contract: ScoreBlockInto is the logit function plus the
-// boundary sigmoid.
+// blockScorerFunc adapts a logit-producing function to BlockScorer for tests.
 type blockScorerFunc func(dst []float64, u int, items []int)
 
 func (f blockScorerFunc) ScoreBlockLogitsInto(dst []float64, u int, items []int) { f(dst, u, items) }
 
-func (f blockScorerFunc) ScoreBlockInto(dst []float64, u int, items []int) {
-	f(dst, u, items)
+func (f blockScorerFunc) ScoreUsersBlockLogitsInto(dst *tensor.Matrix, users []int, items []int) {
+	for r, u := range users {
+		f(dst.Row(r), u, items)
+	}
+}
+
+func (f blockScorerFunc) ScorePairsInto(dst []float64, users []int, items []int) {
+	for p, u := range users {
+		f(dst[p:p+1], u, items[p:p+1])
+	}
 	sigmoidVec(dst)
 }

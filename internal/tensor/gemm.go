@@ -1,9 +1,10 @@
 package tensor
 
 // This file holds the multi-user gather-GEMM kernels behind the batched
-// dispersal engine (models.MultiBlockScorer): a block of query rows gathered
-// from one matrix is scored against a block of candidate rows gathered from
-// another, producing a dense query×candidate score matrix in one pass.
+// dispersal and evaluation engines (models.BlockScorer): a block of query
+// rows gathered from one matrix is scored against a block of candidate rows
+// gathered from another, producing a dense query×candidate score matrix in
+// one pass.
 //
 // Determinism contract: every output element is a single dot product
 // accumulated in Dot's k-ascending order, so a multi-user GEMM score is

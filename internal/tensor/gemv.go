@@ -1,23 +1,12 @@
 package tensor
 
-// This file holds the matrix–vector kernels behind the batched scoring engine
-// (models.BlockScorer): a GEMV plus fused row-gather GEMV variants that score
-// one user's whole candidate list against an embedding matrix. Every kernel
+// This file holds the matrix–vector kernels behind the block scoring engine
+// (models.BlockScorer): fused row-gather GEMV variants that score one user's
+// whole candidate list against an embedding matrix. Every kernel
 // accumulates each output element with Dot's k-ascending order, so a batched
 // score is bitwise-identical to the per-item dot loop it replaces.
 
 import "fmt"
-
-// MulVecInto computes dst[i] = m.Row(i)·x for every row of m. dst must have
-// length m.Rows and x length m.Cols.
-func MulVecInto(dst []float64, m *Matrix, x []float64) {
-	if len(dst) != m.Rows || len(x) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVecInto dst[%d], m %dx%d, x[%d]", len(dst), m.Rows, m.Cols, len(x)))
-	}
-	for i := range dst {
-		dst[i] = Dot(m.Row(i), x)
-	}
-}
 
 // GatherMulVecInto computes dst[i] = m.Row(rows[i]+rowOffset)·x — a GEMV over
 // a gathered row subset, fusing the row gather into the product so no
@@ -46,20 +35,6 @@ func GatherMulVecAddInto(dst []float64, m *Matrix, rows []int, rowOffset int, x 
 	}
 	for i, r := range rows {
 		dst[i] += Dot(m.Row(r+rowOffset), x)
-	}
-}
-
-// GatherRowsInto copies src.Row(rows[i]+rowOffset) into dst.Row(i) for every
-// gathered row — the row-gather half of a batched forward whose consumer needs
-// a dense input block (NeuMF's candidate chunks). dst must be
-// len(rows)×src.Cols.
-func GatherRowsInto(dst, src *Matrix, rows []int, rowOffset int) {
-	if dst.Rows != len(rows) || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: GatherRowsInto dst %dx%d for %d rows of %dx%d",
-			dst.Rows, dst.Cols, len(rows), src.Rows, src.Cols))
-	}
-	for i, r := range rows {
-		copy(dst.Row(i), src.Row(r+rowOffset))
 	}
 }
 

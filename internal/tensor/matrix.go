@@ -60,13 +60,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Fill sets every element to v in place.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Scale multiplies every element by a in place and returns m.
 func (m *Matrix) Scale(a float64) *Matrix {
 	for i := range m.Data {
@@ -89,15 +82,6 @@ func (m *Matrix) AddScaled(a float64, b *Matrix) *Matrix {
 	m.sameShape(b, "AddScaled")
 	for i, v := range b.Data {
 		m.Data[i] += a * v
-	}
-	return m
-}
-
-// SubInPlace subtracts b element-wise from m and returns m.
-func (m *Matrix) SubInPlace(b *Matrix) *Matrix {
-	m.sameShape(b, "SubInPlace")
-	for i, v := range b.Data {
-		m.Data[i] -= v
 	}
 	return m
 }
@@ -213,36 +197,12 @@ func (m *Matrix) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // Apply replaces each element x with f(x) in place and returns m.
 func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
 	}
 	return m
-}
-
-// ConcatCols returns [a | b] — the horizontal concatenation of a and b.
-func ConcatCols(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: ConcatCols %dx%d | %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
 }
 
 func (m *Matrix) sameShape(b *Matrix, op string) {

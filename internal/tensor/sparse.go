@@ -254,22 +254,6 @@ func (m *CSR) MulDenseInto(dst, x *Matrix) {
 	}
 }
 
-// MulDenseTInto computes dst = mᵀ·x (m is r×c, x is r×n, dst c×n). Used for
-// backpropagation through asymmetric propagation operators.
-func (m *CSR) MulDenseTInto(dst, x *Matrix) {
-	if m.Rows != x.Rows || dst.Rows != m.Cols || dst.Cols != x.Cols {
-		panic(fmt.Sprintf("tensor: CSR MulDenseTInto %dx%d = (%dx%d)ᵀ · %dx%d",
-			dst.Rows, dst.Cols, m.Rows, m.Cols, x.Rows, x.Cols))
-	}
-	dst.Zero()
-	for i := 0; i < m.Rows; i++ {
-		xrow := x.Row(i)
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			Axpy(m.Val[p], xrow, dst.Row(m.ColIdx[p]))
-		}
-	}
-}
-
 // At returns the value at (i, j), 0 if not stored. O(log nnz(row)).
 func (m *CSR) At(i, j int) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
